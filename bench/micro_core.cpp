@@ -1,8 +1,14 @@
 // Google-benchmark microbenchmarks of the core kernels: clustering,
 // neighbor tables, coverage, gateway selection, full static-backbone
 // construction, one dynamic broadcast, and the distributed protocol run.
-// These put numbers on the "linear time" analysis of §4.
+// These put numbers on the "linear time" analysis of §4. Two engine
+// measurements ride along: the batch unit-disk build on the dense vs the
+// sparse SpatialGrid index, and depth-2 tick pipelining on the
+// benchmark's churn-100k configuration (docs/PERFORMANCE.md records both).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "broadcast/si_cds.hpp"
 #include "cluster/lowest_id.hpp"
@@ -10,6 +16,7 @@
 #include "core/dynamic_broadcast.hpp"
 #include "core/mo_cds.hpp"
 #include "core/static_backbone.hpp"
+#include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
 #include "net/protocol.hpp"
 
@@ -99,6 +106,59 @@ void BM_DistributedProtocol(benchmark::State& state) {
         net.graph, core::CoverageMode::kTwoPointFiveHop));
 }
 BENCHMARK(BM_DistributedProtocol)->Arg(64)->Arg(128)->Arg(256);
+
+// Batch unit-disk build (d = 6) over one uniform layout, on the dense
+// lattice (arg 1 = 0) or the sparse occupied-cell index (arg 1 = 1).
+void BM_UnitDiskGrid(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const geom::GridIndex index =
+      state.range(1) != 0 ? geom::GridIndex::kSparse : geom::GridIndex::kDense;
+  Rng rng(derive_seed(4242, n, 6));
+  std::vector<geom::Point> positions(n);
+  for (geom::Point& p : positions)
+    p = {rng.uniform(0, 100), rng.uniform(0, 100)};
+  const double range = geom::range_for_average_degree(6.0, n, 100, 100);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(geom::unit_disk_graph(positions, range, index));
+}
+BENCHMARK(BM_UnitDiskGrid)
+    ->ArgsProduct({{1000, 10000, 100000, 200000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+// Tick pipelining on the churn-100k configuration (100k nodes, 1,000
+// movers per tick, d = 6, waypoint, 2.5-hop, sparse grid, streaming build
+// and placement, cell-major labels) at 4 lanes: five pairs of 60-tick
+// runs, depth 1 then depth 2 from the same seed. The counters are each
+// depth's median wall ms per tick and their ratio.
+void BM_PipelineDepth(benchmark::State& state) {
+  exp::ChurnConfig c;
+  c.nodes = 100000;
+  c.degree = 6.0;
+  c.move_fraction = 0.01;
+  c.ticks = 60;
+  c.connect_attempts = 1;
+  c.grid = geom::GridIndex::kSparse;
+  c.streaming_build = true;
+  c.cell_order = true;
+  c.streaming_placement = true;
+  c.rebuild_baseline = false;
+  c.threads = 4;
+  for (auto _ : state) {
+    std::vector<double> ms[2];
+    for (std::uint64_t pair = 1; pair <= 5; ++pair) {
+      c.seed = pair;
+      for (std::size_t depth = 1; depth <= 2; ++depth) {
+        c.pipeline_depth = depth;
+        ms[depth - 1].push_back(exp::run_churn(c).wall_ms_per_tick);
+      }
+    }
+    for (auto& v : ms) std::sort(v.begin(), v.end());
+    state.counters["depth1_ms"] = ms[0][2];
+    state.counters["depth2_ms"] = ms[1][2];
+    state.counters["speedup"] = ms[0][2] / ms[1][2];
+  }
+}
+BENCHMARK(BM_PipelineDepth)->Iterations(1)->Unit(benchmark::kSecond);
 
 }  // namespace
 

@@ -8,7 +8,6 @@
 #include "cluster/lcc.hpp"
 #include "common/assert.hpp"
 #include "common/rss.hpp"
-#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "exp/mobility_mix.hpp"
 #include "geom/unit_disk.hpp"
@@ -23,17 +22,6 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-// Hashes the maintained state through the backbone's accessors — field
-// for field the same digest as hashing a materialize() copy, without the
-// full O(n) duplication of tables and coverage (which would double peak
-// RSS right at the end of a memory-audited run). The fold itself lives
-// in core/state_hash.hpp so the message-driven engine (src/proto) lands
-// on the bitwise-identical digest.
-std::uint64_t hash_backbone(const incr::IncrementalBackbone& b) {
-  return core::backbone_state_hash(b.clustering(), b.tables(), b.coverage(),
-                                   b.selection(), b.gateways(), b.cds());
 }
 
 }  // namespace
@@ -102,7 +90,7 @@ ChurnResult run_churn(const ChurnConfig& config) {
       // Pipelined runs lag: the maintained CDS is one in-flight tick
       // behind the positions the baseline just rebuilt from.
       if (config.rebuild_every == 1 && config.pipeline_depth <= 1) {
-        MANET_ASSERT(full.cds.size() == pipeline.backbone().cds().size(),
+        MANET_ASSERT(full.cds == pipeline.backbone().cds(),
                      "incremental and rebuilt CDS diverged");
       }
       rebuild_previous = std::move(repaired);
@@ -155,7 +143,7 @@ ChurnResult run_churn(const ChurnConfig& config) {
   result.mean_rows_recomputed /= ticks;
   result.mean_heads_reselected /= ticks;
   result.mean_regions /= ticks;
-  result.state_hash = hash_backbone(pipeline.backbone());
+  result.state_hash = pipeline.backbone().state_hash();
   result.peak_rss_bytes = peak_rss_bytes();
   result.connected = mix.connected();
   result.connect_attempts_used = mix.connect_attempts_used();

@@ -49,8 +49,8 @@ struct ChurnConfig {
   /// (per-phase spans, `incr.*` metrics) and the run loop itself.
   /// nullptr = unobserved. Must outlive run_churn().
   obs::Session* obs = nullptr;
-  /// Execution lanes for the engine's sharded repair path
-  /// (incr::PipelineOptions::threads). 1 = the sequential engine.
+  /// Execution lanes for the engine's repair
+  /// (incr::PipelineOptions::threads). 1 = every stage inline.
   std::size_t threads = 1;
   /// Tick pipelining (incr::PipelineOptions::pipeline_depth): 2 =
   /// overlap each tick's repair with the next tick's ingest + commit.

@@ -11,7 +11,6 @@
 
 #include "common/assert.hpp"
 #include "common/rss.hpp"
-#include "core/state_hash.hpp"
 #include "exp/mobility_mix.hpp"
 #include "incr/pipeline.hpp"
 #include "proto/engine.hpp"
@@ -24,11 +23,6 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-std::uint64_t hash_backbone(const incr::IncrementalBackbone& b) {
-  return core::backbone_state_hash(b.clustering(), b.tables(), b.coverage(),
-                                   b.selection(), b.gateways(), b.cds());
 }
 
 }  // namespace
@@ -64,7 +58,7 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
     popts.threads = base.threads;
     witness.emplace(mix.positions(), mix.range(), base.width, base.height,
                     popts);
-    MANET_ASSERT(engine.state_hash() == hash_backbone(witness->backbone()),
+    MANET_ASSERT(engine.state_hash() == witness->backbone().state_hash(),
                  "maintenance and incremental engines disagree at tick 0");
   }
 
@@ -100,7 +94,7 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
 
     if (witness) {
       witness->tick();
-      const std::uint64_t expect = hash_backbone(witness->backbone());
+      const std::uint64_t expect = witness->backbone().state_hash();
       const std::uint64_t got = engine.state_hash();
       if (got != expect)
         throw std::logic_error(

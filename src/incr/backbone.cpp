@@ -1,10 +1,12 @@
 #include "incr/backbone.hpp"
 
+#include <algorithm>
 #include <span>
 #include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "core/state_hash.hpp"
 #include "core/table_kernels.hpp"
 #include "incr/delta_tracker.hpp"
 #include "incr/worker_pool.hpp"
@@ -56,64 +58,98 @@ class DirtySet {
   NodeSet nodes_;
 };
 
-/// Splits [0, items) into ascending contiguous (begin, count) chunks —
-/// a pure function of (items, lanes), so every stage output indexed by
-/// chunk id concatenates to the same sorted list at any lane count.
-std::vector<std::pair<std::size_t, std::size_t>> plan_chunks(
-    std::size_t items, std::size_t lanes) {
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  if (items == 0) return chunks;
-  // A few chunks per lane so an unlucky heavy chunk can't serialize the
-  // stage; chunky enough that claim overhead stays irrelevant.
-  const std::size_t target = std::min(items, lanes * 4);
-  const std::size_t size = (items + target - 1) / target;
-  for (std::size_t begin = 0; begin < items; begin += size)
-    chunks.emplace_back(begin, std::min(size, items - begin));
-  return chunks;
-}
+}  // namespace
 
-/// obs::Span lookalike that can buffer instead of writing the recorder:
-/// with `buf` non-null the completed span lands there (deferred-trace
-/// mode), otherwise it goes straight to `tr`. `tr == nullptr` disables.
-class StageSpan {
+/// obs::Span lookalike that lands in one track of the backbone's span
+/// buffer instead of the recorder. `tr == nullptr` disables.
+class IncrementalBackbone::BufferedSpan {
  public:
-  StageSpan(obs::TraceRecorder* tr, std::vector<TraceSpanRec>* buf,
-            const char* name, std::uint64_t tick, const char* arg_name)
-      : tr_(tr), buf_(buf), name_(name), arg_name_(arg_name), tick_(tick) {
+  BufferedSpan(obs::TraceRecorder* tr, std::vector<SpanRec>& track,
+               const char* name, const char* arg_name)
+      : tr_(tr), track_(track), name_(name), arg_name_(arg_name) {
     if (tr_) start_ns_ = tr_->now_ns();
   }
-  ~StageSpan() {
-    if (!tr_) return;
-    const std::uint64_t dur = tr_->now_ns() - start_ns_;
-    if (buf_)
-      buf_->push_back({name_, start_ns_, dur, tick_, 0, arg_name_, arg_});
-    else
-      tr_->complete("incr", name_, start_ns_, dur, tick_, 0, arg_name_, arg_);
+  ~BufferedSpan() {
+    if (tr_)
+      track_.push_back(
+          {name_, arg_name_, start_ns_, tr_->now_ns() - start_ns_, arg_});
   }
   void set_arg(std::uint64_t v) { arg_ = v; }
-  StageSpan(const StageSpan&) = delete;
-  StageSpan& operator=(const StageSpan&) = delete;
+  BufferedSpan(const BufferedSpan&) = delete;
+  BufferedSpan& operator=(const BufferedSpan&) = delete;
 
  private:
   obs::TraceRecorder* tr_;
-  std::vector<TraceSpanRec>* buf_;
+  std::vector<SpanRec>& track_;
   const char* name_;
   const char* arg_name_;
-  std::uint64_t tick_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t arg_ = 0;
 };
 
-}  // namespace
+struct IncrementalBackbone::Stages {
+  WorkerPool* pool;  ///< nullptr: every job runs inline on the caller
+  obs::TraceRecorder* tr;
+  std::vector<std::vector<SpanRec>>& spans;
+
+  /// A stage span on the driver's track.
+  BufferedSpan span(const char* name, const char* arg_name) {
+    return BufferedSpan(tr, spans[0], name, arg_name);
+  }
+
+  /// Runs fn(job, lane) for every job in [0, jobs). Inline the caller
+  /// runs them in order on lane 0; on the pool each job also buffers a
+  /// `name` span on its lane's track, whose `items` argument is fn's
+  /// return value.
+  template <typename Fn>
+  void run(const char* name, std::size_t jobs, Fn&& fn) {
+    if (!pool) {
+      for (std::size_t job = 0; job < jobs; ++job) fn(job, 0);
+      return;
+    }
+    pool->run(jobs, [&](std::size_t job, std::size_t lane) {
+      BufferedSpan s(tr, spans[lane + 1], name, "items");
+      s.set_arg(fn(job, lane));
+    });
+  }
+
+  /// Runs body(begin, end, out) over ascending contiguous chunks of
+  /// [0, items) — one chunk inline, a few per lane on the pool so an
+  /// unlucky heavy chunk can't serialize the stage — and returns the
+  /// chunk outputs concatenated in chunk order: what one ascending pass
+  /// produces, at any lane count.
+  template <typename Out, typename Body>
+  std::vector<Out> scan(const char* name, std::size_t items, Body&& body) {
+    if (items == 0) return {};
+    const std::size_t target = pool ? std::min(items, pool->lanes() * 4) : 1;
+    const std::size_t size = (items + target - 1) / target;
+    std::vector<std::vector<Out>> parts((items + size - 1) / size);
+    run(name, parts.size(), [&](std::size_t c, std::size_t) {
+      const std::size_t begin = c * size;
+      const std::size_t end = std::min(items, begin + size);
+      body(begin, end, parts[c]);
+      return end - begin;
+    });
+    for (std::size_t c = 1; c < parts.size(); ++c)
+      parts[0].insert(parts[0].end(), parts[c].begin(), parts[c].end());
+    return std::move(parts[0]);
+  }
+};
 
 void IncrementalBackbone::flush_trace() {
-  if (trace_buf_.empty()) return;
-  if (obs_) {
-    for (const TraceSpanRec& s : trace_buf_)
-      obs_->trace.complete("incr", s.name, s.ts, s.dur, s.tick, s.tid,
-                           s.arg_name, s.arg);
+  for (std::size_t track = 0; track < spans_.size(); ++track) {
+    if (obs_)
+      for (const SpanRec& s : spans_[track])
+        obs_->trace.complete("incr", s.name, s.ts, s.dur, ticks_applied_,
+                             static_cast<std::uint32_t>(track), s.arg_name,
+                             s.arg);
+    spans_[track].clear();
   }
-  trace_buf_.clear();
+}
+
+std::uint64_t IncrementalBackbone::state_hash() const {
+  return core::backbone_state_hash(clustering_, tables_, coverage_,
+                                   selection_, gateways(), cds());
 }
 
 IncrementalBackbone::IncrementalBackbone(const graph::DynamicAdjacency& g,
@@ -210,10 +246,28 @@ void IncrementalBackbone::commit_head_row(NodeId h, bool was_head,
 
 TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
                                      const EdgeDelta& delta) {
+  return repair(g, delta, nullptr, nullptr);
+}
+
+TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
+                                              const EdgeDelta& delta,
+                                              const RegionPartition& partition,
+                                              WorkerPool& pool) {
+  // Fan out only when there is something to share the work with.
+  const bool fan_out = pool.lanes() > 1 && partition.count >= 2;
+  TickStats stats = repair(g, delta, fan_out ? &partition : nullptr,
+                           fan_out ? &pool : nullptr);
+  stats.regions = partition.count;
+  return stats;
+}
+
+TickStats IncrementalBackbone::repair(const graph::DynamicAdjacency& g,
+                                      const EdgeDelta& delta,
+                                      const RegionPartition* partition,
+                                      WorkerPool* pool) {
   MANET_REQUIRE(g.order() == clustering_.head_of.size(),
                 "adjacency does not match the maintained state");
   ++ticks_applied_;
-  obs::TraceRecorder* tr = obs_ ? &obs_->trace : nullptr;
   TickStats stats;
   stats.link_changes = delta.link_changes();
   obs_handles_.links_appeared.add(delta.added.size());
@@ -221,11 +275,47 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   obs_handles_.links_per_tick.record(delta.link_changes());
   if (delta.empty()) return stats;
 
+  const std::size_t lanes = pool ? pool->lanes() : 1;
+  if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
+  if (lane_sel_scratch_.size() < lanes) lane_sel_scratch_.resize(lanes);
+  if (spans_.size() < lanes + 1) spans_.resize(lanes + 1);
+  Stages st{pool, obs_ ? &obs_->trace : nullptr, spans_};
+
+  // --- Cluster rules. Inline, the whole delta is one region and the
+  // rules run on the live head bitset. On the pool, one job per
+  // independent region: each writes head_of inside its own region and
+  // buffers its head-status flips in an overlay, so the per-region
+  // ascending scans see exactly what the one global scan would show them
+  // (S30: no other region's writes are within this region's read
+  // radius). The merge — heads list, then roles against the final
+  // head_of in sorted chunks — is the one every repair ends with.
   ClusterRepair rep;
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cluster_repair",
-                   ticks_applied_, "flips");
-    rep = repair_clustering(g, delta, clustering_, head_bits_);
+    auto span = st.span("cluster_repair", "flips");
+    std::vector<ClusterRepair> parts(pool ? partition->count : 1);
+    if (!pool) {
+      parts[0] = repair_clustering_region(g, delta, clustering_, head_bits_);
+    } else {
+      std::vector<HeadStatusOverlay> overlays(parts.size(),
+                                              HeadStatusOverlay(head_bits_));
+      st.run("region_repair", parts.size(), [&](std::size_t r, std::size_t) {
+        parts[r] = repair_clustering_region(g, partition->deltas[r],
+                                            clustering_, overlays[r]);
+        return partition->deltas[r].link_changes();
+      });
+      for (const HeadStatusOverlay& overlay : overlays)
+        overlay.apply(head_bits_);
+    }
+    rep = merge_repairs(
+        g, delta.touched, clustering_, parts,
+        [&](std::span<const NodeId> support, NodeSet& changed) {
+          changed = st.scan<NodeId>(
+              "role_chunk", support.size(),
+              [&](std::size_t begin, std::size_t end, NodeSet& out) {
+                refresh_roles(g, clustering_,
+                              support.subspan(begin, end - begin), out);
+              });
+        });
     span.set_arg(rep.declared.size() + rep.resigned.size());
   }
   stats.cluster_churn = rep.churn;
@@ -236,11 +326,12 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   obs_handles_.heads_declared.add(rep.declared.size());
   obs_handles_.heads_resigned.add(rep.resigned.size());
 
-  // CH_HOP1(v) reads v's own head status, v's edges and its neighbors'
-  // head status, so the exact dirty set is the changed-edge endpoints
-  // plus the closed neighborhoods of the status flips. Rows that come
-  // out identical are discarded and recorded as clean: they prove their
-  // readers unchanged, which keeps each later stage small.
+  // --- CH_HOP1(v) reads v's own head status, v's edges and its
+  // neighbors' head status, so the exact dirty set is the changed-edge
+  // endpoints plus the closed neighborhoods of the status flips. Rows
+  // that come out identical are discarded and recorded as clean: they
+  // prove their readers unchanged, which keeps each later stage small.
+  // Chunk c writes rows of its own slice against frozen inputs.
   const NodeSet status_flips = set_union(rep.declared, rep.resigned);
   DirtySet hop1_mark(g.order());
   for (const NodeId v : delta.touched) hop1_mark.add(v);
@@ -249,22 +340,26 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
 
   NodeSet hop1_changed;
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop1_scan",
-                   ticks_applied_, "rows");
+    auto span = st.span("hop1_scan", "rows");
     span.set_arg(hop1_dirty.size());
-    for (const NodeId v : hop1_dirty) {
-      auto row = core::hop1_row(g, clustering_, v);
-      if (row != tables_.ch_hop1[v]) {
-        tables_.ch_hop1[v] = std::move(row);
-        hop1_changed.push_back(v);
-      }
-    }
+    hop1_changed = st.scan<NodeId>(
+        "hop1_chunk", hop1_dirty.size(),
+        [&](std::size_t begin, std::size_t end, NodeSet& changed) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const NodeId v = hop1_dirty[i];
+            auto row = core::hop1_row(g, clustering_, v);
+            if (row != tables_.ch_hop1[v]) {
+              tables_.ch_hop1[v] = std::move(row);
+              changed.push_back(v);
+            }
+          }
+        });
   }
   obs_handles_.hop1_rows_scanned.add(hop1_dirty.size());
   obs_handles_.hop1_rows_changed.add(hop1_changed.size());
 
-  // CH_HOP2(v) additionally reads the neighbors' head_of assignments and
-  // their (already refreshed) CH_HOP1 rows: dirty set = changed-edge
+  // --- CH_HOP2(v) additionally reads the neighbors' head_of assignments
+  // and their (now final) CH_HOP1 rows: dirty set = changed-edge
   // endpoints ∪ closed neighborhoods of head_of changes and of actually
   // changed CH_HOP1 rows.
   DirtySet hop2_mark(g.order());
@@ -274,33 +369,41 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   for (const NodeId v : hop1_changed) hop2_mark.add_closed_neighborhood(g, v);
   const NodeSet hop2_dirty = hop2_mark.take();
 
-  NodeSet changed_rows = hop1_changed;
+  NodeSet changed_rows;
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop2_scan",
-                   ticks_applied_, "rows");
+    auto span = st.span("hop2_scan", "rows");
     span.set_arg(hop2_dirty.size());
-    for (const NodeId v : hop2_dirty) {
-      auto row =
-          core::hop2_row(g, clustering_, tables_.mode, tables_.ch_hop1, v);
-      if (row != tables_.ch_hop2[v]) {
-        tables_.ch_hop2[v] = std::move(row);
-        changed_rows.push_back(v);
-      }
-    }
+    changed_rows = st.scan<NodeId>(
+        "hop2_chunk", hop2_dirty.size(),
+        [&](std::size_t begin, std::size_t end, NodeSet& changed) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const NodeId v = hop2_dirty[i];
+            auto row = core::hop2_row(g, clustering_, tables_.mode,
+                                      tables_.ch_hop1, v);
+            if (row != tables_.ch_hop2[v]) {
+              tables_.ch_hop2[v] = std::move(row);
+              changed.push_back(v);
+            }
+          }
+        });
   }
   obs_handles_.hop2_rows_scanned.add(hop2_dirty.size());
-  obs_handles_.hop2_rows_changed.add(changed_rows.size() -
-                                     hop1_changed.size());
+  obs_handles_.hop2_rows_changed.add(changed_rows.size());
+  changed_rows.insert(changed_rows.end(), hop1_changed.begin(),
+                      hop1_changed.end());
   normalize(changed_rows);
   stats.rows_recomputed = hop1_dirty.size() + hop2_dirty.size();
   obs_handles_.rows_per_tick.record(stats.rows_recomputed);
 
-  // A head's coverage and gateway selection read exactly its neighbor
-  // list and the table rows of its neighbors, so a head needs a rerun
-  // only when it gained/lost an edge (touched), just declared, or sits
-  // next to a row that actually changed. Everything else keeps its
-  // cached coverage and selection verbatim — bit-identical to the full
-  // rebuild because the inputs are proven identical.
+  // --- Coverage + gateway reselection. A head's coverage and selection
+  // read exactly its neighbor list and the table rows of its neighbors,
+  // so a head needs a rerun only when it gained/lost an edge (touched),
+  // just declared, or sits next to a row that actually changed;
+  // everything else keeps its cached rows verbatim — bit-identical to the
+  // full rebuild because the inputs are proven identical. The per-head
+  // computation is pure over frozen tables, so one job per head; the
+  // stateful commits (refcounts, coverage/selection moves) replay on the
+  // caller in ascending head order.
   graph::NodeBitset head_dirty(g.order());
   NodeSet recompute;
   const auto mark = [&](NodeId v) {
@@ -320,14 +423,18 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   const graph::NodeBitset declared_bits =
       graph::NodeBitset::from_node_set(g.order(), rep.declared);
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "head_reselect",
-                   ticks_applied_, "heads");
+    auto span = st.span("head_reselect", "heads");
     span.set_arg(recompute.size());
-    for (const NodeId h : recompute)
-      commit_head_row(h, /*was_head=*/!declared_bits.test(h),
-                      compute_head_row(g, h, lane_scratch_[0],
-                                       lane_sel_scratch_[0]),
-                      stats, cds_candidates);
+    std::vector<HeadRow> rows(recompute.size());
+    st.run("head_row", recompute.size(), [&](std::size_t i, std::size_t lane) {
+      rows[i] = compute_head_row(g, recompute[i], lane_scratch_[lane],
+                                 lane_sel_scratch_[lane]);
+      return recompute[i];
+    });
+    for (std::size_t i = 0; i < recompute.size(); ++i)
+      commit_head_row(recompute[i],
+                      /*was_head=*/!declared_bits.test(recompute[i]),
+                      std::move(rows[i]), stats, cds_candidates);
     // Resignations leave stale head rows behind; release their reference
     // counts (guard against a same-tick re-declaration, which rule 2 makes
     // impossible today but cheap to stay safe against).
@@ -337,303 +444,35 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   obs_handles_.heads_reselected.add(recompute.size());
   obs_handles_.coverage_changes.add(stats.coverage_changes);
 
-  // Settle CDS membership for every node whose head status or selection
-  // reference count moved this tick.
+  // --- CDS settling for every node whose head status or selection
+  // reference count moved this tick. Membership is a pure read of
+  // head_bits_/selection_refs_/cds_bits_ (all frozen here), so chunks
+  // over the sorted candidates buffer their flips and the caller applies
+  // them in chunk order: one ascending flip sequence at any lane count.
   normalize(cds_candidates);
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cds_settle",
-                   ticks_applied_, "candidates");
+    auto span = st.span("cds_settle", "candidates");
     span.set_arg(cds_candidates.size());
-    for (const NodeId v : cds_candidates) {
-      const bool member = head_bits_.test(v) || selection_refs_[v] > 0;
-      if (member != cds_bits_.test(v)) {
-        ++stats.backbone_changes;
-        if (member)
-          cds_bits_.set(v);
-        else
-          cds_bits_.reset(v);
-      }
+    const auto flips = st.scan<std::pair<NodeId, bool>>(
+        "cds_chunk", cds_candidates.size(),
+        [&](std::size_t begin, std::size_t end,
+            std::vector<std::pair<NodeId, bool>>& out) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const NodeId v = cds_candidates[i];
+            const bool member = head_bits_.test(v) || selection_refs_[v] > 0;
+            if (member != cds_bits_.test(v)) out.emplace_back(v, member);
+          }
+        });
+    for (const auto& [v, member] : flips) {
+      if (member)
+        cds_bits_.set(v);
+      else
+        cds_bits_.reset(v);
     }
+    stats.backbone_changes = flips.size();
   }
   obs_handles_.backbone_flips.add(stats.backbone_changes);
-  return stats;
-}
-
-TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
-                                              const EdgeDelta& delta,
-                                              const RegionPartition& partition,
-                                              WorkerPool& pool) {
-  MANET_REQUIRE(g.order() == clustering_.head_of.size(),
-                "adjacency does not match the maintained state");
-  ++ticks_applied_;
-  obs::TraceRecorder* tr = obs_ ? &obs_->trace : nullptr;
-  TickStats stats;
-  stats.link_changes = delta.link_changes();
-  stats.regions = partition.count;
-  obs_handles_.links_appeared.add(delta.added.size());
-  obs_handles_.links_disappeared.add(delta.removed.size());
-  obs_handles_.links_per_tick.record(delta.link_changes());
-  if (delta.empty()) return stats;
-
-  const std::size_t lanes = pool.lanes();
-  if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
-  if (lane_sel_scratch_.size() < lanes) lane_sel_scratch_.resize(lanes);
-
-  // Workers buffer their spans (TraceRecorder is single-writer) and the
-  // caller flushes them after each join, one trace track per lane.
-  struct LaneSpan {
-    const char* name;
-    std::uint64_t ts, dur, arg;
-  };
-  std::vector<std::vector<LaneSpan>> lane_spans(lanes);
-  const auto timed = [&](std::size_t lane, const char* name,
-                         std::uint64_t arg, auto&& fn) {
-    if (!tr) {
-      fn();
-      return;
-    }
-    const std::uint64_t t0 = tr->now_ns();
-    fn();
-    lane_spans[lane].push_back({name, t0, tr->now_ns() - t0, arg});
-  };
-  const auto flush_spans = [&] {
-    if (!tr) return;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      for (const LaneSpan& s : lane_spans[lane]) {
-        const auto tid = static_cast<std::uint32_t>(lane + 1);
-        if (defer_trace_)
-          trace_buf_.push_back(
-              {s.name, s.ts, s.dur, ticks_applied_, tid, "items", s.arg});
-        else
-          tr->complete("incr", s.name, s.ts, s.dur, ticks_applied_, tid,
-                       "items", s.arg);
-      }
-      lane_spans[lane].clear();
-    }
-  };
-
-  // --- Stage C: cluster-repair rules, one job per independent region.
-  // Each job writes head_of inside its own region and buffers its head
-  // status flips; head_bits_ stays read-only until the merge, so the
-  // per-region ascending scans see exactly what the sequential global
-  // scan would show them (S30: no other region's writes are within this
-  // region's read radius).
-  ClusterRepair rep;
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cluster_repair",
-                   ticks_applied_, "flips");
-    std::vector<ClusterRepair> reps(partition.count);
-    std::vector<HeadStatusOverlay> overlays(partition.count,
-                                            HeadStatusOverlay(head_bits_));
-    pool.run(partition.count, [&](std::size_t r, std::size_t lane) {
-      timed(lane, "region_repair", partition.deltas[r].link_changes(), [&] {
-        reps[r] = repair_clustering_region(g, partition.deltas[r],
-                                           clustering_, overlays[r]);
-      });
-    });
-    // Merge in region order: flips onto the real bitset, churn sums, and
-    // the per-region sorted sets (disjoint by S30) into global ones.
-    for (std::size_t r = 0; r < partition.count; ++r) {
-      overlays[r].apply(head_bits_);
-      rep.churn.heads_resigned += reps[r].churn.heads_resigned;
-      rep.churn.heads_declared += reps[r].churn.heads_declared;
-      rep.churn.reaffiliations += reps[r].churn.reaffiliations;
-      rep.resigned.insert(rep.resigned.end(), reps[r].resigned.begin(),
-                          reps[r].resigned.end());
-      rep.declared.insert(rep.declared.end(), reps[r].declared.begin(),
-                          reps[r].declared.end());
-      rep.head_changed.insert(rep.head_changed.end(),
-                              reps[r].head_changed.begin(),
-                              reps[r].head_changed.end());
-    }
-    normalize(rep.resigned);
-    normalize(rep.declared);
-    normalize(rep.head_changed);
-    for (const NodeId h : rep.resigned) erase_sorted(clustering_.heads, h);
-    for (const NodeId h : rep.declared) insert_sorted(clustering_.heads, h);
-
-    // --- Roles against the final head_of, in sorted chunks: chunk c
-    // writes roles of its own slice only, and the per-chunk changed
-    // lists concatenate to the sequential ascending result.
-    const NodeSet role_dirty =
-        role_support(g, rep.head_changed, delta.touched);
-    const auto chunks = plan_chunks(role_dirty.size(), lanes);
-    std::vector<NodeSet> role_changed(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
-      timed(lane, "role_chunk", chunks[ci].second, [&] {
-        refresh_roles(g, clustering_,
-                      std::span<const NodeId>(role_dirty)
-                          .subspan(chunks[ci].first, chunks[ci].second),
-                      role_changed[ci]);
-      });
-    });
-    for (const NodeSet& part : role_changed)
-      rep.role_changed.insert(rep.role_changed.end(), part.begin(),
-                              part.end());
-    rep.dirty = set_union(rep.head_changed, delta.touched);
-    span.set_arg(rep.declared.size() + rep.resigned.size());
-    flush_spans();
-  }
-  stats.cluster_churn = rep.churn;
-  stats.head_changes = rep.head_changed.size();
-  stats.role_changes = rep.role_changed.size();
-  obs_handles_.reaffiliations.add(rep.head_changed.size());
-  obs_handles_.role_changes.add(rep.role_changed.size());
-  obs_handles_.heads_declared.add(rep.declared.size());
-  obs_handles_.heads_resigned.add(rep.resigned.size());
-
-  // --- CH_HOP1, chunked over the sorted dirty set. Chunk c writes rows
-  // of its own slice against frozen inputs (clustering, adjacency).
-  const NodeSet status_flips = set_union(rep.declared, rep.resigned);
-  DirtySet hop1_mark(g.order());
-  for (const NodeId v : delta.touched) hop1_mark.add(v);
-  for (const NodeId v : status_flips) hop1_mark.add_closed_neighborhood(g, v);
-  const NodeSet hop1_dirty = hop1_mark.take();
-
-  NodeSet hop1_changed;
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop1_scan",
-                   ticks_applied_, "rows");
-    span.set_arg(hop1_dirty.size());
-    const auto chunks = plan_chunks(hop1_dirty.size(), lanes);
-    std::vector<NodeSet> changed(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
-      timed(lane, "hop1_chunk", chunks[ci].second, [&] {
-        const auto [begin, count] = chunks[ci];
-        for (std::size_t i = begin; i < begin + count; ++i) {
-          const NodeId v = hop1_dirty[i];
-          auto row = core::hop1_row(g, clustering_, v);
-          if (row != tables_.ch_hop1[v]) {
-            tables_.ch_hop1[v] = std::move(row);
-            changed[ci].push_back(v);
-          }
-        }
-      });
-    });
-    for (const NodeSet& part : changed)
-      hop1_changed.insert(hop1_changed.end(), part.begin(), part.end());
-    flush_spans();
-  }
-  obs_handles_.hop1_rows_scanned.add(hop1_dirty.size());
-  obs_handles_.hop1_rows_changed.add(hop1_changed.size());
-
-  // --- CH_HOP2 likewise, now that every CH_HOP1 row is final.
-  DirtySet hop2_mark(g.order());
-  for (const NodeId v : delta.touched) hop2_mark.add(v);
-  for (const NodeId v : rep.head_changed)
-    hop2_mark.add_closed_neighborhood(g, v);
-  for (const NodeId v : hop1_changed) hop2_mark.add_closed_neighborhood(g, v);
-  const NodeSet hop2_dirty = hop2_mark.take();
-
-  NodeSet changed_rows = hop1_changed;
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop2_scan",
-                   ticks_applied_, "rows");
-    span.set_arg(hop2_dirty.size());
-    const auto chunks = plan_chunks(hop2_dirty.size(), lanes);
-    std::vector<NodeSet> changed(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
-      timed(lane, "hop2_chunk", chunks[ci].second, [&] {
-        const auto [begin, count] = chunks[ci];
-        for (std::size_t i = begin; i < begin + count; ++i) {
-          const NodeId v = hop2_dirty[i];
-          auto row = core::hop2_row(g, clustering_, tables_.mode,
-                                    tables_.ch_hop1, v);
-          if (row != tables_.ch_hop2[v]) {
-            tables_.ch_hop2[v] = std::move(row);
-            changed[ci].push_back(v);
-          }
-        }
-      });
-    });
-    for (const NodeSet& part : changed)
-      changed_rows.insert(changed_rows.end(), part.begin(), part.end());
-    flush_spans();
-  }
-  obs_handles_.hop2_rows_scanned.add(hop2_dirty.size());
-  obs_handles_.hop2_rows_changed.add(changed_rows.size() -
-                                     hop1_changed.size());
-  normalize(changed_rows);
-  stats.rows_recomputed = hop1_dirty.size() + hop2_dirty.size();
-  obs_handles_.rows_per_tick.record(stats.rows_recomputed);
-
-  // --- Coverage + gateway reselection: the per-head computation is pure
-  // over frozen tables, so one job per head; the stateful commits
-  // (refcounts, coverage/selection moves) replay on the caller in the
-  // same ascending head order the sequential path uses.
-  graph::NodeBitset head_dirty(g.order());
-  NodeSet recompute;
-  const auto mark = [&](NodeId v) {
-    if (head_bits_.test(v) && head_dirty.set(v)) recompute.push_back(v);
-  };
-  for (const NodeId v : delta.touched) mark(v);
-  for (const NodeId v : rep.declared) mark(v);
-  for (const NodeId v : changed_rows) {
-    mark(v);
-    for (const NodeId w : g.neighbors(v)) mark(w);
-  }
-  normalize(recompute);
-
-  NodeSet cds_candidates;
-  for (const NodeId h : rep.declared) cds_candidates.push_back(h);
-  for (const NodeId h : rep.resigned) cds_candidates.push_back(h);
-  const graph::NodeBitset declared_bits =
-      graph::NodeBitset::from_node_set(g.order(), rep.declared);
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "head_reselect",
-                   ticks_applied_, "heads");
-    span.set_arg(recompute.size());
-    std::vector<HeadRow> rows(recompute.size());
-    pool.run(recompute.size(), [&](std::size_t i, std::size_t lane) {
-      timed(lane, "head_row", recompute[i], [&] {
-        rows[i] = compute_head_row(g, recompute[i], lane_scratch_[lane],
-                                   lane_sel_scratch_[lane]);
-      });
-    });
-    for (std::size_t i = 0; i < recompute.size(); ++i)
-      commit_head_row(recompute[i],
-                      /*was_head=*/!declared_bits.test(recompute[i]),
-                      std::move(rows[i]), stats, cds_candidates);
-    for (const NodeId v : rep.resigned)
-      if (!head_bits_.test(v)) clear_head_rows(v, cds_candidates);
-    flush_spans();
-  }
-  obs_handles_.heads_reselected.add(recompute.size());
-  obs_handles_.coverage_changes.add(stats.coverage_changes);
-
-  // --- CDS settling, the last stage of the sharded path: membership is a
-  // pure read of head_bits_/selection_refs_/cds_bits_ (all frozen here),
-  // so chunks over the sorted candidate set buffer their flips and the
-  // caller applies them in chunk order — the exact ascending flip
-  // sequence (and count) of the sequential loop.
-  normalize(cds_candidates);
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cds_settle",
-                   ticks_applied_, "candidates");
-    span.set_arg(cds_candidates.size());
-    const auto chunks = plan_chunks(cds_candidates.size(), lanes);
-    std::vector<std::vector<std::pair<NodeId, bool>>> flips(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
-      timed(lane, "cds_chunk", chunks[ci].second, [&] {
-        const auto [begin, count] = chunks[ci];
-        for (std::size_t i = begin; i < begin + count; ++i) {
-          const NodeId v = cds_candidates[i];
-          const bool member = head_bits_.test(v) || selection_refs_[v] > 0;
-          if (member != cds_bits_.test(v)) flips[ci].emplace_back(v, member);
-        }
-      });
-    });
-    for (const auto& part : flips)
-      for (const auto& [v, member] : part) {
-        ++stats.backbone_changes;
-        if (member)
-          cds_bits_.set(v);
-        else
-          cds_bits_.reset(v);
-      }
-    flush_spans();
-  }
-  obs_handles_.backbone_flips.add(stats.backbone_changes);
+  if (!defer_trace_) flush_trace();
   return stats;
 }
 

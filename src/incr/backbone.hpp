@@ -27,6 +27,14 @@
 // equivalence tests).
 // The CDS itself is maintained with per-node selection reference counts,
 // so membership materialization never rescans the selections.
+//
+// One repair body serves every tick, in six stages: cluster rules and
+// their merge, role refresh, CH_HOP1, CH_HOP2, head reselection, CDS
+// settle. apply() runs them inline on the caller with the whole delta as
+// one region; apply_parallel() fans them out over a WorkerPool — the
+// rules one job per independent region, the rest in ascending chunks —
+// and merges every output in the order the inline pass produces it, so
+// both land on the same state bit for bit (DESIGN S30).
 #pragma once
 
 #include <cstdint>
@@ -56,20 +64,6 @@ namespace manet::incr {
 struct RegionPartition;
 class WorkerPool;
 
-/// One buffered trace span. TraceRecorder is single-writer, so when the
-/// engine runs as an async pool batch (pipelined mode) it cannot write
-/// spans directly while the driver thread records its own: it buffers
-/// them as TraceSpanRec and the driver flushes after joining the tick.
-struct TraceSpanRec {
-  const char* name = "";
-  std::uint64_t ts = 0;
-  std::uint64_t dur = 0;
-  std::uint64_t tick = 0;
-  std::uint32_t tid = 0;
-  const char* arg_name = nullptr;
-  std::uint64_t arg = 0;
-};
-
 /// What one tick cost and churned. The churn counters use the same
 /// definitions as mobility::MaintenanceDelta, so the maintenance-cost
 /// experiments can read them straight off the engine.
@@ -93,18 +87,20 @@ class IncrementalBackbone {
   IncrementalBackbone(const graph::DynamicAdjacency& g,
                       core::CoverageMode mode);
 
-  /// Consumes one edge delta. `g` must already reflect the delta (the
-  /// DeltaTracker hands both over in that state).
+  /// Consumes one edge delta: the repair below with the whole delta as
+  /// one region and every stage run inline on the caller. `g` must
+  /// already reflect the delta (the DeltaTracker hands both over in that
+  /// state).
   TickStats apply(const graph::DynamicAdjacency& g, const EdgeDelta& delta);
 
-  /// Sharded variant of apply(): the tick's delta arrives pre-split into
-  /// the independent regions of `partition` (DeltaTracker::commit), the
-  /// region repairs and the row/reselect stages fan out on `pool`, and
-  /// all shared-structure merges run on the caller between barriers. The
-  /// maintained state afterwards is bitwise identical to apply() at any
-  /// lane count (same dirty sets, same ascending orders — DESIGN S30);
-  /// metric totals are too, because the per-shard counts partition the
-  /// sequential ones.
+  /// The same repair with the tick's delta pre-split into the independent
+  /// regions of `partition` (DeltaTracker::commit): the region rules and
+  /// the row/reselect stages fan out on `pool`, and every shared-structure
+  /// merge runs on the caller between barriers. With one lane or fewer
+  /// than two regions it runs exactly as apply(). Stage outputs are
+  /// merged in the ascending order one inline pass produces, so the
+  /// maintained state and the tick's stats are bitwise identical at any
+  /// lane count (DESIGN S30).
   TickStats apply_parallel(const graph::DynamicAdjacency& g,
                            const EdgeDelta& delta,
                            const RegionPartition& partition,
@@ -115,12 +111,18 @@ class IncrementalBackbone {
   /// nullptr detaches. The session must outlive the backbone.
   void set_obs(obs::Session* session);
 
-  /// Deferred-trace mode: apply()/apply_parallel() buffer every span
-  /// instead of writing the recorder, so a tick may run concurrently
-  /// with the driver thread's own recording. Metrics stay live (atomic
-  /// adds commute). The driver calls flush_trace() after joining.
+  /// Spans are buffered during a tick (TraceRecorder is single-writer
+  /// and stage jobs run on pool lanes) and written out by flush_trace(),
+  /// which apply()/apply_parallel() call on return. In deferred mode they
+  /// skip that, so a tick may run concurrently with the driver thread's
+  /// own recording; the driver calls flush_trace() after joining it.
+  /// Metrics stay live either way (atomic adds commute).
   void set_defer_trace(bool on) { defer_trace_ = on; }
   void flush_trace();
+
+  /// FNV-1a digest of the maintained state (core::backbone_state_hash,
+  /// read through the accessors — no materialize() copy).
+  std::uint64_t state_hash() const;
 
   core::CoverageMode mode() const { return tables_.mode; }
   const cluster::Clustering& clustering() const { return clustering_; }
@@ -163,6 +165,20 @@ class IncrementalBackbone {
     core::GatewaySelection sel;
   };
 
+  /// One buffered trace span; its track is its slot in spans_.
+  struct SpanRec {
+    const char* name;
+    const char* arg_name;
+    std::uint64_t ts, dur, arg;
+  };
+  class BufferedSpan;
+  /// Runs one tick's stage jobs, inline or on a pool (backbone.cpp).
+  struct Stages;
+
+  /// The one repair body behind apply() and apply_parallel(): inline
+  /// when `pool` is null, else sharded over `partition`'s regions.
+  TickStats repair(const graph::DynamicAdjacency& g, const EdgeDelta& delta,
+                   const RegionPartition* partition, WorkerPool* pool);
   HeadRow compute_head_row(const graph::DynamicAdjacency& g, NodeId h,
                            core::CoverageScratch& scratch,
                            core::SelectionScratch& sel_scratch) const;
@@ -184,11 +200,12 @@ class IncrementalBackbone {
   obs::Session* obs_ = nullptr;
   ObsHandles obs_handles_;
   bool defer_trace_ = false;
-  std::vector<TraceSpanRec> trace_buf_;
+  /// The span buffer: slot 0 is the repair driver's stage track (tid 0),
+  /// slot l + 1 lane l's job track.
+  std::vector<std::vector<SpanRec>> spans_{1};
   std::uint64_t ticks_applied_ = 0;  ///< trace span "tick" argument
-  /// Reusable coverage + selection bitsets: [0] serves the sequential
-  /// path, one per lane serves apply_parallel (sized on first parallel
-  /// tick).
+  /// Reusable coverage + selection bitsets, one per lane (lane 0 serves
+  /// the inline stages).
   std::vector<core::CoverageScratch> lane_scratch_{1};
   std::vector<core::SelectionScratch> lane_sel_scratch_{1};
 };

@@ -10,10 +10,10 @@ using cluster::Role;
 
 namespace {
 
-// Rules 1+2 over one delta against any head-status view (the real
-// bitset sequentially, a HeadStatusOverlay per region in parallel).
-// Fills rep.resigned / declared / head_changed / churn; heads-list and
-// role maintenance are the caller's.
+// Rules 1+2 over one region's delta against any head-status view (the
+// live bitset inline, a HeadStatusOverlay per concurrent region). Fills
+// rep.resigned / declared / head_changed / churn; heads-list and role
+// maintenance are merge_repairs'.
 template <typename HeadBits>
 void run_rules(const graph::DynamicAdjacency& g, const EdgeDelta& delta,
                cluster::Clustering& c, HeadBits& head_bits,
@@ -99,20 +99,19 @@ ClusterRepair repair_clustering(const graph::DynamicAdjacency& g,
                                 graph::NodeBitset& head_bits) {
   MANET_REQUIRE(c.head_of.size() == g.order(),
                 "clustering does not match the adjacency");
+  const ClusterRepair rules = repair_clustering_region(g, delta, c, head_bits);
+  return merge_repairs(g, delta.touched, c, {&rules, 1},
+                       [&](std::span<const NodeId> support, NodeSet& changed) {
+                         refresh_roles(g, c, support, changed);
+                       });
+}
+
+ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
+                                       const EdgeDelta& region_delta,
+                                       cluster::Clustering& c,
+                                       graph::NodeBitset& head_bits) {
   ClusterRepair rep;
-  if (delta.empty()) return rep;
-
-  run_rules(g, delta, c, head_bits, rep);
-
-  // Maintain the sorted head list incrementally.
-  for (const NodeId h : rep.resigned) erase_sorted(c.heads, h);
-  for (const NodeId h : rep.declared) insert_sorted(c.heads, h);
-
-  // --- Roles: refresh exactly the support of the role predicate.
-  const NodeSet role_dirty = role_support(g, rep.head_changed, delta.touched);
-  refresh_roles(g, c, role_dirty, rep.role_changed);
-
-  rep.dirty = set_union(rep.head_changed, delta.touched);
+  run_rules(g, region_delta, c, head_bits, rep);
   return rep;
 }
 
@@ -121,19 +120,40 @@ ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
                                        cluster::Clustering& c,
                                        HeadStatusOverlay& overlay) {
   ClusterRepair rep;
-  if (region_delta.empty()) return rep;
   run_rules(g, region_delta, c, overlay, rep);
   return rep;
 }
 
-NodeSet role_support(const graph::DynamicAdjacency& g,
-                     const NodeSet& head_changed, const NodeSet& touched) {
-  NodeSet role_dirty = head_changed;
-  for (const NodeId v : head_changed)
-    for (const NodeId w : g.neighbors(v)) role_dirty.push_back(w);
-  for (const NodeId v : touched) role_dirty.push_back(v);
-  normalize(role_dirty);
-  return role_dirty;
+ClusterRepair merge_repairs(const graph::DynamicAdjacency& g,
+                            const NodeSet& touched, cluster::Clustering& c,
+                            std::span<const ClusterRepair> parts,
+                            const RoleRefresh& refresh) {
+  ClusterRepair rep;
+  for (const ClusterRepair& part : parts) {
+    rep.churn.heads_resigned += part.churn.heads_resigned;
+    rep.churn.heads_declared += part.churn.heads_declared;
+    rep.churn.reaffiliations += part.churn.reaffiliations;
+    rep.resigned.insert(rep.resigned.end(), part.resigned.begin(),
+                        part.resigned.end());
+    rep.declared.insert(rep.declared.end(), part.declared.begin(),
+                        part.declared.end());
+    rep.head_changed.insert(rep.head_changed.end(), part.head_changed.begin(),
+                            part.head_changed.end());
+  }
+  normalize(rep.resigned);
+  normalize(rep.declared);
+  normalize(rep.head_changed);
+  for (const NodeId h : rep.resigned) erase_sorted(c.heads, h);
+  for (const NodeId h : rep.declared) insert_sorted(c.heads, h);
+
+  // Roles: refresh exactly the support of the role predicate.
+  NodeSet support = rep.head_changed;
+  for (const NodeId v : rep.head_changed)
+    for (const NodeId w : g.neighbors(v)) support.push_back(w);
+  support.insert(support.end(), touched.begin(), touched.end());
+  normalize(support);
+  refresh(support, rep.role_changed);
+  return rep;
 }
 
 void refresh_roles(const graph::DynamicAdjacency& g, cluster::Clustering& c,

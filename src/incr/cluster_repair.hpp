@@ -24,17 +24,19 @@
 // repaired clustering is bit-identical to a full lcc_update against the
 // new topology (pinned by tests and the pipeline's oracle mode).
 //
-// The rules are also exposed region-at-a-time (repair_clustering_region)
-// for the sharded parallel engine: a region's rules read head status
-// within two unit-disk hops of its changed edges and write it within
-// one, so on the DeltaTracker's independent-region partition (core cells
-// >= 5 grid cells apart, DESIGN S30) concurrent per-region scans can
-// never observe each other and compose to exactly the sequential global
-// scan. Region calls buffer head-status writes in a HeadStatusOverlay
-// (the shared head bitset stays read-only) and leave the sorted heads
-// list, role refresh, and dirty-set assembly to the caller's merge.
+// The rules run region-at-a-time (repair_clustering_region): a region's
+// rules read head status within two unit-disk hops of its changed edges
+// and write it within one, so on the DeltaTracker's independent-region
+// partition (core cells >= 5 grid cells apart, DESIGN S30) per-region
+// scans can never observe each other and compose to exactly the one
+// global scan. Run inline, the whole delta is one region on the live
+// head bitset; run concurrently, each region buffers its head-status
+// writes in a HeadStatusOverlay (the shared bitset stays read-only).
+// Either way one merge (merge_repairs) finishes the repair: region
+// outputs folded, sorted heads list, role refresh.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -55,13 +57,12 @@ struct ClusterRepair {
   NodeSet role_changed;      ///< nodes whose role changed
   NodeSet declared;          ///< members that became heads this tick
   NodeSet resigned;          ///< heads that stepped down this tick
-  NodeSet dirty;             ///< head_changed ∪ changed-edge endpoints
 };
 
 /// Read-through view of a head bitset whose writes buffer locally
 /// instead of mutating the base. test() sees the region's own flips
-/// (latest wins) layered over the frozen base — which is exactly the
-/// sequential engine's visibility inside one region, because no other
+/// (latest wins) layered over the frozen base — which is exactly what
+/// the one-region inline repair sees inside this region, because no other
 /// region's flips are within this region's read radius (DESIGN S30).
 /// Flip lists stay tiny (a handful of resignations/declarations), so
 /// the read-back scan is cheaper than any hashed structure.
@@ -94,37 +95,53 @@ class HeadStatusOverlay {
 };
 
 /// Repairs `c` (valid for the topology before `delta`) in place against
-/// the post-delta adjacency `g`. `head_bits` must mirror c.heads on
-/// entry and is kept in sync. Expected O(dirty * d) work.
+/// the post-delta adjacency `g`: the rules over the whole delta as one
+/// region, then merge_repairs. `head_bits` must mirror c.heads on entry
+/// and is kept in sync. Expected O(dirty * d) work.
 ClusterRepair repair_clustering(const graph::DynamicAdjacency& g,
                                 const EdgeDelta& delta,
                                 cluster::Clustering& c,
                                 graph::NodeBitset& head_bits);
 
-/// Rules 1+2 for one independent region's slice of the tick delta.
-/// Writes c.head_of entries inside the region only (disjoint across
-/// regions) and buffers head-status changes in `overlay`; does NOT
-/// touch c.heads, c.roles, or the overlay's base bitset, so concurrent
-/// calls on distinct regions of one RegionPartition are race-free.
-/// The caller merges: overlay flips onto the real bitset, resigned /
-/// declared into the sorted heads list, then a role refresh over the
-/// combined support (see role_support / refresh_roles).
+/// Rules 1+2 for one region's slice of the tick delta, against the live
+/// head bitset (kept in sync). Writes c.head_of entries inside the
+/// region; leaves c.heads and c.roles to merge_repairs.
+ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
+                                       const EdgeDelta& region_delta,
+                                       cluster::Clustering& c,
+                                       graph::NodeBitset& head_bits);
+
+/// The same rules with head-status writes buffered in `overlay`: does
+/// NOT touch the overlay's base bitset, so concurrent calls on distinct
+/// regions of one RegionPartition are race-free. The caller replays the
+/// overlays onto the real bitset before merging.
 ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
                                        const EdgeDelta& region_delta,
                                        cluster::Clustering& c,
                                        HeadStatusOverlay& overlay);
 
-/// The support of the role predicate after a repair: head_changed ∪
-/// N(head_changed) ∪ touched, sorted-unique.
-NodeSet role_support(const graph::DynamicAdjacency& g,
-                     const NodeSet& head_changed, const NodeSet& touched);
+/// Runs refresh_roles over a sorted support set, leaving the nodes whose
+/// role flipped in the (empty on entry) `changed`, ascending — in one
+/// piece, or in chunks on a worker pool.
+using RoleRefresh =
+    std::function<void(std::span<const NodeId> support, NodeSet& changed)>;
+
+/// The merge that finishes every repair: folds the rule outputs of the
+/// tick's regions (in region order; disjoint by S30) into one sorted
+/// repair, moves resigned/declared into the sorted heads list, refreshes
+/// roles over the support of the role predicate (head_changed ∪
+/// N(head_changed) ∪ touched) through `refresh`.
+ClusterRepair merge_repairs(const graph::DynamicAdjacency& g,
+                            const NodeSet& touched, cluster::Clustering& c,
+                            std::span<const ClusterRepair> parts,
+                            const RoleRefresh& refresh);
 
 /// Recomputes roles for `nodes` (must be sorted ascending) against the
 /// final post-repair head_of, appending nodes whose role flipped to
 /// `changed` in order. Writes only c.roles[v] for v in `nodes`, so
 /// disjoint chunks of one sorted support set can run concurrently and
-/// their `changed` outputs concatenate (in chunk order) to the exact
-/// sequential result.
+/// their `changed` outputs concatenate (in chunk order) to the result of
+/// one pass over the whole set.
 void refresh_roles(const graph::DynamicAdjacency& g, cluster::Clustering& c,
                    std::span<const NodeId> nodes, NodeSet& changed);
 

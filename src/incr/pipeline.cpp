@@ -50,15 +50,14 @@ IncrementalPipeline::IncrementalPipeline(std::vector<geom::Point> positions,
     : tracker_(std::move(positions), range, width, height, options.grid,
                options.streaming_build),
       backbone_(tracker_.adjacency(), options.mode),
-      options_(options) {
+      options_(options),
+      pool_(options.threads) {
   MANET_REQUIRE(options_.pipeline_depth >= 1 && options_.pipeline_depth <= 2,
                 "pipeline_depth must be 1 or 2: consecutive repairs are "
                 "sequentially dependent, so deeper pipelines cannot exist");
   MANET_REQUIRE(!(options_.oracle_check && options_.pipeline_depth > 1),
                 "oracle mode must observe every tick synchronously; use "
                 "pipeline_depth 1");
-  if (options_.threads > 1 || options_.pipeline_depth > 1)
-    pool_ = std::make_unique<WorkerPool>(options_.threads);
   backbone_.set_defer_trace(options_.pipeline_depth > 1);
   if (options_.oracle_check) oracle_previous_ = backbone_.clustering();
   set_obs(options_.obs);
@@ -76,7 +75,7 @@ IncrementalPipeline::~IncrementalPipeline() {
 void IncrementalPipeline::set_obs(obs::Session* session) {
   options_.obs = session;
   backbone_.set_obs(session);
-  if (pool_) pool_->set_obs(session);
+  pool_.set_obs(session);
   if (session) {
     auto& r = session->registry;
     ticks_counter_ = r.counter("incr.ticks");
@@ -101,24 +100,16 @@ void IncrementalPipeline::set_obs(obs::Session* session) {
   }
 }
 
-TickStats IncrementalPipeline::run_repair(const EdgeDelta& delta,
-                                          const RegionPartition& partition) {
-  TickStats stats;
-  if (pool_ && partition.count >= 2 && !delta.empty()) {
-    stats = backbone_.apply_parallel(tracker_.adjacency(), delta, partition,
-                                     *pool_);
-  } else {
-    stats = backbone_.apply(tracker_.adjacency(), delta);
-    stats.regions = partition.count;
-  }
-  return stats;
+TickStats IncrementalPipeline::repair(InFlight& s) {
+  return backbone_.apply_parallel(tracker_.adjacency(), s.delta, s.partition,
+                                  pool_);
 }
 
 TickStats IncrementalPipeline::join_pending() {
   if (!pending_) return {};
   InFlight& p = *pending_;
   pending_ = nullptr;
-  pool_->wait(p.ticket);
+  pool_.wait(p.ticket);
   backbone_.flush_trace();
   return p.stats;
 }
@@ -126,27 +117,25 @@ TickStats IncrementalPipeline::join_pending() {
 TickStats IncrementalPipeline::drain() { return join_pending(); }
 
 TickStats IncrementalPipeline::tick() {
-  return options_.pipeline_depth > 1 ? tick_pipelined() : tick_sync();
-}
-
-TickStats IncrementalPipeline::tick_pipelined() {
   ++tick_index_;
   obs::TraceRecorder* tr = options_.obs ? &options_.obs->trace : nullptr;
   obs::Span tick_span(tr, "incr", "tick", tick_index_, "links");
   ticks_counter_.add();
   staged_counter_.add(tracker_.staged_count());
 
-  // Commit this tick against the frozen overlay while the previous
-  // tick's repair is still reading it (both read-only — S31). The other
-  // slot belongs to that repair; this one finished two ticks ago.
-  InFlight& cur = slots_[tick_index_ % 2];
+  // Pipelined, this tick commits against the frozen overlay while the
+  // previous tick's repair is still reading it (both read-only — S31),
+  // so the edge edits are deferred; the other slot belongs to that
+  // repair, this one finished two ticks ago.
+  const bool pipelined = options_.pipeline_depth > 1;
+  InFlight& cur = slots_[pipelined ? tick_index_ % 2 : 0];
   MANET_ASSERT(&cur != pending_, "commit slot still owned by a repair");
   {
     obs::Span span(tr, "incr", "delta_commit", tick_index_, "links");
     CommitOptions copts;
     copts.regions = &cur.partition;
-    copts.pool = pool_.get();
-    copts.defer_adjacency = true;
+    copts.pool = &pool_;
+    copts.defer_adjacency = pipelined;
     cur.delta = tracker_.commit(copts);
     span.set_arg(cur.delta.link_changes());
   }
@@ -157,75 +146,50 @@ TickStats IncrementalPipeline::tick_pipelined() {
     region_size_hist_.record(cells.size());
   tick_span.set_arg(cur.delta.link_changes());
 
+  if (!pipelined) {
+    const TickStats stats = repair(cur);
+    if (options_.oracle_check) check_oracle(cur.delta);
+    return stats;
+  }
   // Join the previous repair; its stats become this call's return
   // value. Only now is the overlay safe to advance.
-  TickStats out = join_pending();
+  const TickStats previous = join_pending();
   {
     obs::Span span(tr, "incr", "delta_apply", tick_index_, "links");
     tracker_.apply_delta(cur.delta);
   }
-  cur.ticket = pool_->submit(1, [this, &cur](std::size_t, std::size_t) {
-    cur.stats = run_repair(cur.delta, cur.partition);
-  });
+  cur.ticket = pool_.submit(
+      1, [this, &cur](std::size_t, std::size_t) { cur.stats = repair(cur); });
   pending_ = &cur;
-  return out;
+  return previous;
 }
 
-TickStats IncrementalPipeline::tick_sync() {
-  ++tick_index_;
+void IncrementalPipeline::check_oracle(const EdgeDelta& delta) {
+  // Full rebuild from first principles: re-derive the topology from the
+  // raw positions and repair the previous tick's clustering with the
+  // batch LCC pass, then compare every maintained structure bit for bit.
   obs::TraceRecorder* tr = options_.obs ? &options_.obs->trace : nullptr;
-  obs::Span tick_span(tr, "incr", "tick", tick_index_, "links");
-  ticks_counter_.add();
-  staged_counter_.add(tracker_.staged_count());
-
-  EdgeDelta delta;
-  {
-    obs::Span span(tr, "incr", "delta_commit", tick_index_, "links");
-    // The partition is always built (O(dirty)), not just when a pool is
-    // attached: the incr.regions metrics must come out identical at any
-    // thread count for the determinism soaks to hold byte-for-byte.
-    CommitOptions copts;
-    copts.regions = &partition_;
-    copts.pool = pool_.get();
-    delta = tracker_.commit(copts);
-    span.set_arg(delta.link_changes());
-  }
-  dirty_cells_counter_.add(tracker_.last_cells_scanned());
-  compactions_gauge_.set(static_cast<std::int64_t>(tracker_.compactions()));
-  regions_counter_.add(partition_.count);
-  for (const auto& cells : partition_.core_cells)
-    region_size_hist_.record(cells.size());
-  tick_span.set_arg(delta.link_changes());
-
-  TickStats stats = run_repair(delta, partition_);
-
-  if (options_.oracle_check) {
-    // Full rebuild from first principles: re-derive the topology from the
-    // raw positions and repair the previous tick's clustering with the
-    // batch LCC pass, then compare every maintained structure bit for bit.
-    obs::Span span(tr, "incr", "oracle_check", tick_index_);
-    const graph::Graph frozen = tracker_.adjacency().freeze();
-    const graph::Graph reference =
-        geom::unit_disk_graph(tracker_.positions(), tracker_.range());
-    const bool adjacency_ok = frozen.edges() == reference.edges();
-    if (!adjacency_ok)
-      dump_flight_recorder(options_.obs, tick_index_, delta,
-                           "maintained adjacency diverged from "
-                           "unit_disk_graph over the current positions");
-    MANET_REQUIRE(adjacency_ok,
-                  "incr oracle: maintained adjacency diverged from "
-                  "unit_disk_graph over the current positions");
-    cluster::Clustering oracle_clustering =
-        cluster::lcc_update(frozen, oracle_previous_);
-    const core::StaticBackbone oracle = core::build_static_backbone(
-        frozen, oracle_clustering, options_.mode);
-    const std::string mismatch = backbone_.diff_against(oracle);
-    if (!mismatch.empty())
-      dump_flight_recorder(options_.obs, tick_index_, delta, mismatch);
-    MANET_REQUIRE(mismatch.empty(), "incr oracle: " + mismatch);
-    oracle_previous_ = std::move(oracle_clustering);
-  }
-  return stats;
+  obs::Span span(tr, "incr", "oracle_check", tick_index_);
+  const graph::Graph frozen = tracker_.adjacency().freeze();
+  const graph::Graph reference =
+      geom::unit_disk_graph(tracker_.positions(), tracker_.range());
+  const bool adjacency_ok = frozen.edges() == reference.edges();
+  if (!adjacency_ok)
+    dump_flight_recorder(options_.obs, tick_index_, delta,
+                         "maintained adjacency diverged from "
+                         "unit_disk_graph over the current positions");
+  MANET_REQUIRE(adjacency_ok,
+                "incr oracle: maintained adjacency diverged from "
+                "unit_disk_graph over the current positions");
+  cluster::Clustering oracle_clustering =
+      cluster::lcc_update(frozen, oracle_previous_);
+  const core::StaticBackbone oracle =
+      core::build_static_backbone(frozen, oracle_clustering, options_.mode);
+  const std::string mismatch = backbone_.diff_against(oracle);
+  if (!mismatch.empty())
+    dump_flight_recorder(options_.obs, tick_index_, delta, mismatch);
+  MANET_REQUIRE(mismatch.empty(), "incr oracle: " + mismatch);
+  oracle_previous_ = std::move(oracle_clustering);
 }
 
 }  // namespace manet::incr

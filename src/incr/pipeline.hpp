@@ -5,15 +5,15 @@
 // after every tick and asserts bitwise equality — the safety net that
 // lets the delta path be trusted in production and benchmarked honestly.
 //
-// With threads > 1 each tick's delta is partitioned into independent
-// dirty regions (DeltaTracker) and repaired via the sharded
-// IncrementalBackbone::apply_parallel on a persistent WorkerPool. The
-// maintained state — and therefore materialize(), metric snapshots and
-// every downstream artifact — is bitwise identical at any thread count
-// (the determinism soaks and the oracle pin this).
+// Each tick's delta is partitioned into independent dirty regions
+// (DeltaTracker) and repaired by IncrementalBackbone::apply_parallel on
+// a persistent WorkerPool — with one lane, a pool of zero threads and
+// the repair's stages run inline. The maintained state — and therefore
+// materialize(), metric snapshots and every downstream artifact — is
+// bitwise identical at any thread count (the determinism soaks and the
+// oracle pin this).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,15 +40,13 @@ struct PipelineOptions {
   /// oracle mismatch the recorder tail and the offending tick's dirty
   /// set are dumped to stderr before the throw.
   obs::Session* obs = nullptr;
-  /// Execution lanes for the sharded repair path (1 = fully sequential,
-  /// no pool, byte-for-byte the pre-sharding engine). With k > 1 a
-  /// persistent pool of k-1 workers plus the calling thread fans out
-  /// each tick's independent regions, row chunks, and the delta-commit
-  /// cell scans.
+  /// Execution lanes of the pool the repair and the delta-commit cell
+  /// scans run on: the calling thread plus k-1 persistent workers
+  /// (1 = no worker threads, every stage inline on the caller).
   std::size_t threads = 1;
-  /// Tick pipelining. 1 = classic synchronous ticks. 2 = tick t's
-  /// repair runs as an async pool batch while the caller stages and
-  /// commits tick t+1 (the commit diffs the frozen overlay read-only
+  /// Tick pipelining. 1 = tick() runs the repair on the caller. 2 =
+  /// tick t's repair runs as an async pool batch while the caller stages
+  /// and commits tick t+1 (the commit diffs the frozen overlay read-only
   /// and defers its edge edits, so the two overlap safely — DESIGN
   /// S31). tick() then returns the *previous* tick's stats; call
   /// drain() to join the last repair. The maintained state after drain
@@ -122,9 +120,10 @@ class IncrementalPipeline {
   core::StaticBackbone materialize() const { return backbone_.materialize(); }
 
  private:
-  /// Double-buffered per-tick state for pipelined mode: while tick t's
-  /// repair reads its slot, tick t+1's commit fills the other. Depth 2
-  /// never has more than one repair in flight, so two slots suffice.
+  /// One tick's commit output and repair. Depth 1 uses slot 0 only; at
+  /// depth 2, while tick t's repair reads its slot, tick t+1's commit
+  /// fills the other — never more than one repair in flight, so two
+  /// slots suffice.
   struct InFlight {
     EdgeDelta delta;
     RegionPartition partition;
@@ -132,12 +131,11 @@ class IncrementalPipeline {
     WorkerPool::Ticket ticket;
   };
 
-  TickStats tick_sync();
-  TickStats tick_pipelined();
-  /// The repair half of a tick: sharded when a pool and >= 2 regions
-  /// are available, sequential otherwise (identical state either way).
-  TickStats run_repair(const EdgeDelta& delta,
-                       const RegionPartition& partition);
+  /// Runs `s`'s repair on the caller (the pool fans out its stages).
+  TickStats repair(InFlight& s);
+  /// Oracle mode: rebuilds everything from scratch and requires bitwise
+  /// equality with the maintained state.
+  void check_oracle(const EdgeDelta& delta);
   /// Joins the pending repair slot, flushes its buffered trace spans,
   /// and returns its stats; zeros when nothing is pending.
   TickStats join_pending();
@@ -145,10 +143,8 @@ class IncrementalPipeline {
   DeltaTracker tracker_;
   IncrementalBackbone backbone_;
   PipelineOptions options_;
+  WorkerPool pool_;
   std::uint64_t tick_index_ = 0;
-  /// Reused per tick; filled by DeltaTracker::commit when threads > 1.
-  RegionPartition partition_;
-  std::unique_ptr<WorkerPool> pool_;  ///< null when threads == 1, depth 1
   InFlight slots_[2];
   InFlight* pending_ = nullptr;  ///< slot whose repair is in flight
   obs::Counter ticks_counter_;

@@ -87,6 +87,37 @@ void WorkerPool::execute(Ticket::Batch& batch, std::size_t job,
   if (++batch.done == batch.jobs) done_cv_.notify_all();
 }
 
+std::size_t WorkerPool::claim(const std::shared_ptr<Ticket::Batch>& batch) {
+  const std::size_t job = batch->next_job++;
+  if (batch->next_job == batch->jobs) {
+    queue_.erase(std::find(queue_.begin(), queue_.end(), batch));
+    queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
+  }
+  return job;
+}
+
+void WorkerPool::enqueue(std::shared_ptr<Ticket::Batch> batch) {
+  queue_.push_back(std::move(batch));
+  queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
+  work_cv_.notify_all();
+}
+
+void WorkerPool::join(const std::shared_ptr<Ticket::Batch>& batch,
+                      std::unique_lock<std::mutex>& lock) {
+  const std::size_t lane = std::min(tls_lane, lanes_ - 1);
+  // The caller drains the batch alongside the workers, then waits for
+  // the jobs they claimed.
+  while (batch->next_job < batch->jobs)
+    execute(*batch, claim(batch), lane, lock);
+  done_cv_.wait(lock, [&] { return batch->done == batch->jobs; });
+
+  if (batch->first_error) {
+    const std::exception_ptr err = batch->first_error;
+    lock.unlock();
+    std::rethrow_exception(err);
+  }
+}
+
 void WorkerPool::worker_loop(std::size_t lane) {
   tls_lane = lane;
   std::unique_lock<std::mutex> lock(mu_);
@@ -94,53 +125,29 @@ void WorkerPool::worker_loop(std::size_t lane) {
     work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping, nothing left to drain
     const std::shared_ptr<Ticket::Batch> batch = queue_.front();
-    const std::size_t job = batch->next_job++;
-    if (batch->next_job == batch->jobs) {
-      queue_.pop_front();
-      queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-    }
-    execute(*batch, job, lane, lock);
+    execute(*batch, claim(batch), lane, lock);
   }
 }
 
 void WorkerPool::run(std::size_t jobs, const Job& fn) {
   if (jobs == 0) return;
-  const std::size_t lane = std::min(tls_lane, lanes_ - 1);
   if (lanes_ == 1 || jobs == 1) {
     // Inline fast path: no synchronization at all.
+    const std::size_t lane = std::min(tls_lane, lanes_ - 1);
     for (std::size_t job = 0; job < jobs; ++job) fn(job, lane);
     return;
   }
-
-  // The batch lives on this stack frame: run() returns only after
+  // The batch lives on this stack frame: join() returns only after
   // observing done == jobs under the mutex, at which point no claimer
   // holds a reference any more.
   Ticket::Batch batch;
   batch.fn = fn;
   batch.jobs = jobs;
-  const std::shared_ptr<Ticket::Batch> ref(
-      std::shared_ptr<Ticket::Batch>{}, &batch);
-
+  const std::shared_ptr<Ticket::Batch> ref(std::shared_ptr<Ticket::Batch>{},
+                                           &batch);
   std::unique_lock<std::mutex> lock(mu_);
-  queue_.push_back(ref);
-  queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-  work_cv_.notify_all();
-  // The caller drains its own batch alongside the workers.
-  while (batch.next_job < batch.jobs) {
-    const std::size_t job = batch.next_job++;
-    if (batch.next_job == batch.jobs) {
-      queue_.erase(std::find(queue_.begin(), queue_.end(), ref));
-      queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-    }
-    execute(batch, job, lane, lock);
-  }
-  done_cv_.wait(lock, [&] { return batch.done == batch.jobs; });
-
-  if (batch.first_error) {
-    const std::exception_ptr err = batch.first_error;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
+  enqueue(ref);
+  join(ref, lock);
 }
 
 WorkerPool::Ticket WorkerPool::submit(std::size_t jobs, Job fn) {
@@ -149,9 +156,7 @@ WorkerPool::Ticket WorkerPool::submit(std::size_t jobs, Job fn) {
   batch->jobs = jobs;
   if (jobs > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(batch);
-    queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-    work_cv_.notify_all();
+    enqueue(batch);
   }
   return Ticket(std::move(batch));
 }
@@ -159,24 +164,8 @@ WorkerPool::Ticket WorkerPool::submit(std::size_t jobs, Job fn) {
 void WorkerPool::wait(Ticket& ticket) {
   if (!ticket.batch_) return;
   const std::shared_ptr<Ticket::Batch> batch = std::move(ticket.batch_);
-  const std::size_t lane = std::min(tls_lane, lanes_ - 1);
-
   std::unique_lock<std::mutex> lock(mu_);
-  while (batch->next_job < batch->jobs) {
-    const std::size_t job = batch->next_job++;
-    if (batch->next_job == batch->jobs) {
-      queue_.erase(std::find(queue_.begin(), queue_.end(), batch));
-      queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-    }
-    execute(*batch, job, lane, lock);
-  }
-  done_cv_.wait(lock, [&] { return batch->done == batch->jobs; });
-
-  if (batch->first_error) {
-    const std::exception_ptr err = batch->first_error;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
+  join(batch, lock);
 }
 
 }  // namespace manet::incr

@@ -1,5 +1,6 @@
-// Fixed-width worker pool for the sharded parallel repair path, with
-// both fork/join and asynchronous submit/wait batch execution.
+// Fixed-width worker pool for the incremental engine's repair stages and
+// delta-commit scans, with both fork/join and asynchronous submit/wait
+// batch execution.
 //
 // The engine's parallel stages are short (tens of microseconds to a few
 // milliseconds) and fire every tick, so thread spawn-per-tick is off
@@ -20,8 +21,9 @@
 // one-job batch, keeps ingesting the next tick on its own lane, and
 // joins the ticket at the handoff point. A job may itself call run() or
 // submit()/wait() on the same pool (the repair driver fans its stages
-// out this way); the claim loops always make progress on the claiming
-// thread, so nesting cannot deadlock even with zero free workers.
+// out this way); the one claim loop run() and wait() share always makes
+// progress on the claiming thread, so nesting cannot deadlock even with
+// zero free workers.
 //
 // Lane identity: workers own lanes 1..lanes-1 for their lifetime;
 // every external thread is lane 0. A job executing on a worker that
@@ -105,12 +107,19 @@ class WorkerPool {
   void set_obs(obs::Session* session);
 
  private:
-  struct BatchRef;  // claimed (batch, job) pair
-
   void worker_loop(std::size_t lane);
-  /// Executes fn(job, lane), recording lane busy time, and folds any
-  /// exception into the batch under the pool mutex. Returns true when
-  /// this call completed the batch's last job.
+  /// Claims the batch's next job (mu_ held); a batch whose last job is
+  /// claimed leaves the queue.
+  std::size_t claim(const std::shared_ptr<Ticket::Batch>& batch);
+  /// Queues a batch and wakes the workers (mu_ held).
+  void enqueue(std::shared_ptr<Ticket::Batch> batch);
+  /// The claim loop run() and wait() share (mu_ held via `lock`): the
+  /// caller drains the batch on its own lane, blocks until every claimed
+  /// job finished, and rethrows the batch's first exception.
+  void join(const std::shared_ptr<Ticket::Batch>& batch,
+            std::unique_lock<std::mutex>& lock);
+  /// Executes fn(job, lane) outside the lock, recording lane busy time,
+  /// and folds any exception into the batch under the pool mutex.
   void execute(Ticket::Batch& batch, std::size_t job, std::size_t lane,
                std::unique_lock<std::mutex>& lock);
 

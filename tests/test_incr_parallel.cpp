@@ -234,6 +234,27 @@ TEST(ParallelOracleTest, WaypointMotionThreads4) {
   }
 }
 
+void expect_same_stats(const TickStats& want, const TickStats& got,
+                       const char* label, std::size_t tick) {
+  static_assert(sizeof(TickStats) == 11 * sizeof(std::size_t),
+                "TickStats changed: compare the new field here too");
+  SCOPED_TRACE(::testing::Message() << label << " at tick " << tick);
+  EXPECT_EQ(got.link_changes, want.link_changes);
+  EXPECT_EQ(got.cluster_churn.heads_resigned,
+            want.cluster_churn.heads_resigned);
+  EXPECT_EQ(got.cluster_churn.heads_declared,
+            want.cluster_churn.heads_declared);
+  EXPECT_EQ(got.cluster_churn.reaffiliations,
+            want.cluster_churn.reaffiliations);
+  EXPECT_EQ(got.head_changes, want.head_changes);
+  EXPECT_EQ(got.role_changes, want.role_changes);
+  EXPECT_EQ(got.backbone_changes, want.backbone_changes);
+  EXPECT_EQ(got.coverage_changes, want.coverage_changes);
+  EXPECT_EQ(got.rows_recomputed, want.rows_recomputed);
+  EXPECT_EQ(got.heads_reselected, want.heads_reselected);
+  EXPECT_EQ(got.regions, want.regions);
+}
+
 TEST(ParallelDeterminismTest, LockstepStateIdenticalAcrossThreadCounts) {
   // Three pipelines fed identical move streams at threads 1 / 2 / 8;
   // after every tick the maintained structures must be bit-identical
@@ -285,14 +306,10 @@ TEST(ParallelDeterminismTest, LockstepStateIdenticalAcrossThreadCounts) {
         << "threads=2 diverged at tick " << t;
     ASSERT_EQ(p1.backbone().diff_against(p8.materialize()), "")
         << "threads=8 diverged at tick " << t;
-    // Tick accounting is part of the determinism contract too.
-    EXPECT_EQ(s1.link_changes, s2.link_changes);
-    EXPECT_EQ(s1.head_changes, s2.head_changes);
-    EXPECT_EQ(s1.role_changes, s8.role_changes);
-    EXPECT_EQ(s1.backbone_changes, s8.backbone_changes);
-    EXPECT_EQ(s1.rows_recomputed, s8.rows_recomputed);
-    EXPECT_EQ(s1.regions, s2.regions);
-    EXPECT_EQ(s1.regions, s8.regions);
+    // Tick accounting is part of the determinism contract too: every
+    // field, at both lane counts.
+    expect_same_stats(s1, s2, "threads=2", t);
+    expect_same_stats(s1, s8, "threads=8", t);
   }
 }
 

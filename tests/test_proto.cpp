@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/state_hash.hpp"
 #include "exp/churn.hpp"
 #include "exp/mobility_mix.hpp"
 #include "exp/msg_churn.hpp"
@@ -28,11 +27,6 @@
 
 namespace manet {
 namespace {
-
-std::uint64_t hash_backbone(const incr::IncrementalBackbone& b) {
-  return core::backbone_state_hash(b.clustering(), b.tables(), b.coverage(),
-                                   b.selection(), b.gateways(), b.cds());
-}
 
 proto::EngineOptions oracle_options(core::CoverageMode mode) {
   proto::EngineOptions o;
@@ -50,7 +44,7 @@ TEST(ProtoEngine, BootstrapMatchesIncrementalEngine) {
     incr::PipelineOptions popts;
     popts.mode = mode;
     incr::IncrementalPipeline pipeline(pts, 1.5, 20, 5, popts);
-    EXPECT_EQ(engine.state_hash(), hash_backbone(pipeline.backbone()));
+    EXPECT_EQ(engine.state_hash(), pipeline.backbone().state_hash());
   }
 }
 

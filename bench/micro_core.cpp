@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the core kernels: clustering,
 // neighbor tables, coverage, gateway selection, full static-backbone
-// construction, one dynamic broadcast, and the distributed protocol run.
+// construction, one dynamic and one SI-CDS broadcast (also at 20k and
+// 100k nodes), and the distributed protocol run.
 // These put numbers on the "linear time" analysis of §4. Two engine
 // measurements ride along: the batch unit-disk build on the dense vs the
 // sparse SpatialGrid index, and depth-2 tick pipelining on the
@@ -18,6 +19,7 @@
 #include "core/static_backbone.hpp"
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
+#include "graph/algorithms.hpp"
 #include "net/protocol.hpp"
 
 namespace {
@@ -75,28 +77,55 @@ void BM_MoCds(benchmark::State& state) {
 }
 BENCHMARK(BM_MoCds)->Arg(128)->Arg(256);
 
+// Broadcast topology for (n = arg 0, d = arg 1) and a source in its
+// largest component. Up to 512 nodes the layout is connected; at 20k and
+// 100k (d = 6) a connected layout is out of reach, so the broadcast
+// covers the source's component — the same shape as benchmark cast-20k's
+// probe, and large enough for a forward-set cost above O(F) to show.
+std::pair<geom::UnitDiskNetwork, NodeId> broadcast_network(
+    const benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto d = static_cast<double>(state.range(1));
+  if (n <= 512) return {benchmark_network(n, d), 0};
+  Rng rng(derive_seed(4242, n, static_cast<std::uint64_t>(d)));
+  geom::UnitDiskConfig cfg;
+  cfg.nodes = n;
+  cfg.range = geom::range_for_average_degree(d, n, cfg.width, cfg.height);
+  auto net = geom::generate_unit_disk(cfg, rng);
+  const auto [label, count] = graph::components(net.graph);
+  std::vector<std::size_t> size(count, 0);
+  for (std::uint32_t c : label) ++size[c];
+  const auto largest = static_cast<std::uint32_t>(
+      std::max_element(size.begin(), size.end()) - size.begin());
+  const auto source = static_cast<NodeId>(
+      std::find(label.begin(), label.end(), largest) - label.begin());
+  return {std::move(net), source};
+}
+
 void BM_DynamicBroadcast(benchmark::State& state) {
-  const auto net = benchmark_network(
-      static_cast<std::size_t>(state.range(0)), 12.0);
+  const auto [net, source] = broadcast_network(state);
   const auto bb = core::build_dynamic_backbone(
       net.graph, core::CoverageMode::kTwoPointFiveHop);
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::dynamic_broadcast(net.graph, bb, 0));
+    benchmark::DoNotOptimize(core::dynamic_broadcast(net.graph, bb, source));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_DynamicBroadcast)->RangeMultiplier(2)->Range(32, 512)
-    ->Complexity();
+BENCHMARK(BM_DynamicBroadcast)->RangeMultiplier(2)
+    ->Ranges({{32, 512}, {12, 12}})->Complexity();
+BENCHMARK(BM_DynamicBroadcast)->Args({20000, 6})->Args({100000, 6})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SiCdsBroadcast(benchmark::State& state) {
-  const auto net = benchmark_network(
-      static_cast<std::size_t>(state.range(0)), 12.0);
+  const auto [net, source] = broadcast_network(state);
   const auto st = core::build_static_backbone(
       net.graph, core::CoverageMode::kTwoPointFiveHop);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        broadcast::si_cds_broadcast(net.graph, st.cds, 0));
+        broadcast::si_cds_broadcast(net.graph, st.cds, source));
 }
-BENCHMARK(BM_SiCdsBroadcast)->Arg(128)->Arg(512);
+BENCHMARK(BM_SiCdsBroadcast)->Args({128, 12})->Args({512, 12});
+BENCHMARK(BM_SiCdsBroadcast)->Args({20000, 6})->Args({100000, 6})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DistributedProtocol(benchmark::State& state) {
   const auto net = benchmark_network(

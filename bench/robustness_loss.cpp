@@ -40,17 +40,24 @@ int main(int argc, char** argv) {
       const auto bb = core::build_static_backbone(
           net.graph, core::CoverageMode::kTwoPointFiveHop);
       const auto mpr = broadcast::compute_mpr_sets(net.graph);
-      Rng rng(derive_seed(seed, rep, static_cast<std::uint64_t>(loss * 100)));
-      const auto source = static_cast<NodeId>(rng.index(n));
+      // One stream for the source draw and one per protocol, so a change
+      // to one protocol's draws leaves the other rows untouched.
+      const auto stream = static_cast<std::uint64_t>(loss * 100) * 4;
+      Rng source_rng(derive_seed(seed, rep, stream));
+      Rng flood_rng(derive_seed(seed, rep, stream + 1));
+      Rng mpr_rng(derive_seed(seed, rep, stream + 2));
+      Rng si_rng(derive_seed(seed, rep, stream + 3));
+      const auto source = static_cast<NodeId>(source_rng.index(n));
       const broadcast::LossModel model{loss};
-      const auto f = broadcast::flood_lossy(net.graph, source, model, rng);
+      const auto f =
+          broadcast::flood_lossy(net.graph, source, model, flood_rng);
       fl.add(f.delivery_ratio());
       fl_fwd.add(static_cast<double>(f.forward_count()));
       mp.add(broadcast::mpr_broadcast_lossy(net.graph, mpr, source, model,
-                                            rng)
+                                            mpr_rng)
                  .delivery_ratio());
       const auto s = broadcast::si_cds_broadcast_lossy(net.graph, bb.cds,
-                                                       source, model, rng);
+                                                       source, model, si_rng);
       si.add(s.delivery_ratio());
       si_fwd.add(static_cast<double>(s.forward_count()));
     }

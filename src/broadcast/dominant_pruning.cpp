@@ -1,8 +1,6 @@
 #include "broadcast/dominant_pruning.hpp"
 
-#include <deque>
-
-#include "common/assert.hpp"
+#include "broadcast/relay.hpp"
 
 namespace manet::broadcast {
 namespace {
@@ -39,80 +37,54 @@ NodeSet greedy_cover(const graph::Graph& g, const NodeSet& candidates,
   return forward;
 }
 
-struct Packet {
-  NodeId sender;
-  NodeSet forward_list;
-};
+/// The forward list `v` piggybacks when it relays the packet it got from
+/// `upstream` (kInvalidNode for the source): a greedy cover of v's
+/// uncovered 2-hop targets by v's neighbours outside N[upstream].
+NodeSet select_forward_list(const graph::Graph& g, PruningRule rule,
+                            NodeId v, NodeId upstream) {
+  // Upstream's closed neighborhood: empty exclusion for the source.
+  NodeSet n_u;
+  if (upstream != kInvalidNode) n_u = closed_neighborhood(g, upstream);
+  const NodeSet n_v = closed_neighborhood(g, v);
+
+  // Two-hop targets.
+  NodeSet targets;
+  for (NodeId x : g.neighbors(v))
+    for (NodeId y : g.neighbors(x)) insert_sorted(targets, y);
+  targets = set_difference(targets, n_u);
+  targets = set_difference(targets, n_v);
+  if (rule == PruningRule::kPartialDominant && upstream != kInvalidNode) {
+    // N(N(u) ∩ N(v)): neighbors of the common neighbors.
+    const NodeSet common = set_intersection(
+        NodeSet(g.neighbors(upstream).begin(), g.neighbors(upstream).end()),
+        NodeSet(g.neighbors(v).begin(), g.neighbors(v).end()));
+    NodeSet extra;
+    for (NodeId w : common)
+      for (NodeId y : g.neighbors(w)) insert_sorted(extra, y);
+    targets = set_difference(targets, extra);
+  }
+
+  // Candidate relays: v's neighbors outside N[u].
+  NodeSet candidates(g.neighbors(v).begin(), g.neighbors(v).end());
+  candidates = set_difference(candidates, n_u);
+  return greedy_cover(g, candidates, std::move(targets));
+}
 
 }  // namespace
 
 BroadcastStats dominant_pruning_broadcast(const graph::Graph& g,
                                           NodeId source, PruningRule rule) {
   MANET_REQUIRE(source < g.order(), "source out of range");
-  BroadcastStats stats;
-  stats.received.assign(g.order(), 0);
-  stats.first_copy_hops.assign(g.order(), kUnreachableHops);
-  std::vector<char> acted(g.order(), 0);  // processed its first copy
-  std::deque<Packet> queue;
-
-  auto select_and_send = [&](NodeId v, NodeId upstream) {
-    // Upstream's closed neighborhood: empty exclusion for the source.
-    NodeSet n_u;
-    if (upstream != kInvalidNode) n_u = closed_neighborhood(g, upstream);
-    const NodeSet n_v = closed_neighborhood(g, v);
-
-    // Two-hop targets.
-    NodeSet targets;
-    for (NodeId x : g.neighbors(v))
-      for (NodeId y : g.neighbors(x)) insert_sorted(targets, y);
-    targets = set_difference(targets, n_u);
-    targets = set_difference(targets, n_v);
-    if (rule == PruningRule::kPartialDominant && upstream != kInvalidNode) {
-      // N(N(u) ∩ N(v)): neighbors of the common neighbors.
-      const NodeSet common = set_intersection(
-          NodeSet(g.neighbors(upstream).begin(), g.neighbors(upstream).end()),
-          NodeSet(g.neighbors(v).begin(), g.neighbors(v).end()));
-      NodeSet extra;
-      for (NodeId w : common)
-        for (NodeId y : g.neighbors(w)) insert_sorted(extra, y);
-      targets = set_difference(targets, extra);
-    }
-
-    // Candidate relays: v's neighbors outside N[u].
-    NodeSet candidates(g.neighbors(v).begin(), g.neighbors(v).end());
-    candidates = set_difference(candidates, n_u);
-
-    Packet p;
-    p.sender = v;
-    p.forward_list = greedy_cover(g, candidates, std::move(targets));
-    insert_sorted(stats.forward_nodes, v);
-    ++stats.transmissions;
-    queue.push_back(std::move(p));
-  };
-
-  stats.received[source] = 1;
-  stats.first_copy_hops[source] = 0;
-  acted[source] = 1;
-  select_and_send(source, kInvalidNode);
-
-  while (!queue.empty()) {
-    const Packet p = std::move(queue.front());
-    queue.pop_front();
-    for (NodeId w : g.neighbors(p.sender)) {
-      if (!stats.received[w])
-        stats.first_copy_hops[w] = stats.first_copy_hops[p.sender] + 1;
-      stats.received[w] = 1;
-      // A named node relays once, on the first packet that names it —
-      // even if an unnamed copy arrived earlier (otherwise the selector's
-      // coverage obligation would silently break).
-      if (!acted[w] && contains_sorted(p.forward_list, w)) {
-        acted[w] = 1;
-        select_and_send(w, p.sender);
-      }
-    }
-  }
-  finalize(stats, "dominant_pruning");
-  return stats;
+  std::vector<NodeSet> forward_list(g.order());
+  forward_list[source] = select_forward_list(g, rule, source, kInvalidNode);
+  // A named node relays once, on the first packet that names it — even if
+  // an unnamed copy arrived earlier (otherwise the selector's coverage
+  // obligation would silently break). It selects its own list then.
+  return relay_flood(g, source, "dominant_pruning", [&](NodeId u, NodeId w) {
+    if (!contains_sorted(forward_list[u], w)) return false;
+    forward_list[w] = select_forward_list(g, rule, w, u);
+    return true;
+  });
 }
 
 }  // namespace manet::broadcast

@@ -1,38 +1,11 @@
 #include "broadcast/flooding.hpp"
 
-#include <deque>
-
-#include "common/assert.hpp"
+#include "broadcast/relay.hpp"
 
 namespace manet::broadcast {
 
 BroadcastStats flood(const graph::Graph& g, NodeId source) {
-  MANET_REQUIRE(source < g.order(), "source out of range");
-  BroadcastStats stats;
-  stats.received.assign(g.order(), 0);
-  stats.first_copy_hops.assign(g.order(), kUnreachableHops);
-  std::deque<NodeId> queue{source};
-  stats.received[source] = 1;
-  stats.first_copy_hops[source] = 0;
-  std::vector<char> transmitted(g.order(), 0);
-  transmitted[source] = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
-    ++stats.transmissions;
-    for (NodeId w : g.neighbors(v)) {
-      if (!stats.received[w])
-        stats.first_copy_hops[w] = stats.first_copy_hops[v] + 1;
-      stats.received[w] = 1;
-      if (!transmitted[w]) {
-        transmitted[w] = 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  finalize(stats, "flooding");
-  return stats;
+  return relay_flood(g, source, "flooding", always_relay);
 }
 
 }  // namespace manet::broadcast

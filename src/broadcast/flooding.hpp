@@ -1,6 +1,7 @@
 // Blind flooding — the redundancy baseline behind the broadcast storm
 // problem (Ni et al., the paper's motivation): every node retransmits the
-// packet exactly once.
+// packet exactly once. The relay-once flood of broadcast/relay.hpp with
+// a rule that always relays.
 #pragma once
 
 #include "broadcast/stats.hpp"

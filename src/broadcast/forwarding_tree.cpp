@@ -3,6 +3,7 @@
 #include <deque>
 #include <sstream>
 
+#include "broadcast/relay.hpp"
 #include "common/assert.hpp"
 #include "core/coverage.hpp"
 
@@ -120,33 +121,8 @@ std::string validate_forwarding_tree(const graph::Graph& g,
 BroadcastStats forwarding_tree_broadcast(const graph::Graph& g,
                                          const ForwardingTree& tree,
                                          NodeId source) {
-  MANET_REQUIRE(source < g.order(), "source out of range");
-  BroadcastStats stats;
-  stats.received.assign(g.order(), 0);
-  stats.first_copy_hops.assign(g.order(), kUnreachableHops);
-  std::vector<char> transmitted(g.order(), 0);
-  std::deque<NodeId> queue{source};
-  stats.received[source] = 1;
-  stats.first_copy_hops[source] = 0;
-  transmitted[source] = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
-    ++stats.transmissions;
-    for (NodeId w : g.neighbors(v)) {
-      const bool first_copy = !stats.received[w];
-      if (first_copy)
-        stats.first_copy_hops[w] = stats.first_copy_hops[v] + 1;
-      stats.received[w] = 1;
-      if (first_copy && tree.contains(w) && !transmitted[w]) {
-        transmitted[w] = 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  finalize(stats, "forwarding_tree");
-  return stats;
+  return relay_flood(g, source, "forwarding_tree",
+                     members_relay(g, tree.members));
 }
 
 }  // namespace manet::broadcast

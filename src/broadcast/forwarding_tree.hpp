@@ -11,7 +11,8 @@
 // smallest ids. Broadcasting along the tree makes exactly the tree nodes
 // (plus a non-clusterhead source) forward. The paper's §2 criticism —
 // "such a forwarding tree is hard to maintain in MANETs" — is quantified
-// by the mobility bench; here we provide the structure and its broadcast.
+// by the mobility bench; here we provide the structure and its broadcast,
+// which runs on the relay-once flood of broadcast/relay.hpp.
 #pragma once
 
 #include <string>

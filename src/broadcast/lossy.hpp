@@ -5,7 +5,9 @@
 // for efficiency. This module re-runs flooding / SI-CDS / MPR broadcasts
 // on a channel where each (transmission, receiver) delivery independently
 // fails with probability `loss`, so the robustness bench can quantify
-// that trade-off.
+// that trade-off. Each runs the relay-once flood (broadcast/relay.hpp)
+// with the same relay rule as its ideal-channel version, so at loss 0 it
+// reproduces that run exactly; all three record under the `lossy` label.
 #pragma once
 
 #include <vector>

@@ -1,8 +1,8 @@
 #include "broadcast/mpr.hpp"
 
-#include <deque>
 #include <sstream>
 
+#include "broadcast/relay.hpp"
 #include "common/assert.hpp"
 
 namespace manet::broadcast {
@@ -92,34 +92,7 @@ std::string validate_mpr_sets(const graph::Graph& g,
 BroadcastStats mpr_broadcast(const graph::Graph& g,
                              const std::vector<NodeSet>& mpr,
                              NodeId source) {
-  MANET_REQUIRE(source < g.order(), "source out of range");
-  MANET_REQUIRE(mpr.size() == g.order(), "mpr table does not match graph");
-  BroadcastStats stats;
-  stats.received.assign(g.order(), 0);
-  stats.first_copy_hops.assign(g.order(), kUnreachableHops);
-  std::vector<char> transmitted(g.order(), 0);
-  std::deque<NodeId> queue{source};
-  stats.received[source] = 1;
-  stats.first_copy_hops[source] = 0;
-  transmitted[source] = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
-    ++stats.transmissions;
-    for (NodeId w : g.neighbors(v)) {
-      if (!stats.received[w])
-        stats.first_copy_hops[w] = stats.first_copy_hops[v] + 1;
-      stats.received[w] = 1;
-      // w relays once, when a copy arrives from a node that selected it.
-      if (!transmitted[w] && contains_sorted(mpr[v], w)) {
-        transmitted[w] = 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  finalize(stats, "mpr");
-  return stats;
+  return relay_flood(g, source, "mpr", mpr_relay(g, mpr));
 }
 
 BroadcastStats mpr_broadcast(const graph::Graph& g, NodeId source) {

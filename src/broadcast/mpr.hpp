@@ -6,7 +6,8 @@
 // heuristic — first the neighbors that are the sole reachers of some
 // 2-hop node, then greedy max-cover. During a broadcast, a node
 // retransmits iff it has not transmitted yet and it is an MPR of a
-// neighbor it received a copy from.
+// neighbor it received a copy from — any copy, not only the first. The
+// broadcast runs on the relay-once flood of broadcast/relay.hpp.
 #pragma once
 
 #include <string>

@@ -50,7 +50,7 @@ BroadcastStats PassiveClusteringSession::broadcast(const graph::Graph& g,
     if (states_[v] == PassiveState::kCandidate && heard_heads_[v].empty())
       states_[v] = PassiveState::kClusterhead;
 
-    insert_sorted(stats.forward_nodes, v);
+    stats.forward_nodes.push_back(v);
     ++stats.transmissions;
     for (NodeId w : g.neighbors(v)) {
       const bool first_copy = !stats.received[w];

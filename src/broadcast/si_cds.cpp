@@ -1,40 +1,12 @@
 #include "broadcast/si_cds.hpp"
 
-#include <deque>
-
-#include "common/assert.hpp"
+#include "broadcast/relay.hpp"
 
 namespace manet::broadcast {
 
 BroadcastStats si_cds_broadcast(const graph::Graph& g, const NodeSet& cds,
                                 NodeId source) {
-  MANET_REQUIRE(source < g.order(), "source out of range");
-  BroadcastStats stats;
-  stats.received.assign(g.order(), 0);
-  stats.first_copy_hops.assign(g.order(), kUnreachableHops);
-  std::vector<char> transmitted(g.order(), 0);
-  std::deque<NodeId> queue{source};
-  stats.received[source] = 1;
-  stats.first_copy_hops[source] = 0;
-  transmitted[source] = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
-    ++stats.transmissions;
-    for (NodeId w : g.neighbors(v)) {
-      const bool first_copy = !stats.received[w];
-      if (first_copy)
-        stats.first_copy_hops[w] = stats.first_copy_hops[v] + 1;
-      stats.received[w] = 1;
-      if (first_copy && contains_sorted(cds, w) && !transmitted[w]) {
-        transmitted[w] = 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  finalize(stats, "si_cds");
-  return stats;
+  return relay_flood(g, source, "si_cds", members_relay(g, cds));
 }
 
 }  // namespace manet::broadcast

@@ -4,6 +4,7 @@
 //   2. a backbone node relays the first copy it receives;
 //   3. everyone else stays silent.
 // Works with any CDS — the static backbone, MO_CDS, or an exact MCDS.
+// Runs on the relay-once flood of broadcast/relay.hpp.
 #pragma once
 
 #include "broadcast/stats.hpp"

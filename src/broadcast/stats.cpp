@@ -55,6 +55,7 @@ std::uint32_t BroadcastStats::latency_hops() const {
 }
 
 void finalize(BroadcastStats& stats) {
+  normalize(stats.forward_nodes);
   stats.delivered_all =
       std::all_of(stats.received.begin(), stats.received.end(),
                   [](char c) { return c != 0; });

@@ -34,8 +34,8 @@ struct BroadcastStats {
 /// Sentinel in first_copy_hops for nodes the broadcast never reached.
 inline constexpr std::uint32_t kUnreachableHops = ~std::uint32_t{0};
 
-/// Fills `delivered_all` / returns delivery ratio helpers shared by the
-/// protocol implementations.
+/// Sorts `forward_nodes` (protocols append transmitters in send order)
+/// and fills `delivered_all`. Shared by the protocol implementations.
 void finalize(BroadcastStats& stats);
 
 /// finalize() plus ambient instrumentation: records the run into the

@@ -74,7 +74,7 @@ BroadcastStats suppression_flood(const graph::Graph& g, NodeId source,
     }
     for (NodeId v : firing) {
       transmitted[v] = 1;
-      insert_sorted(stats.forward_nodes, v);
+      stats.forward_nodes.push_back(v);
       ++stats.transmissions;
     }
     for (NodeId v : firing)

@@ -40,7 +40,7 @@ struct Session {
         origin_head == kInvalidNode ? sender : origin_head;
     if (!insert_sorted(relayed_origins[sender], origin_key)) return;
     result.received[sender] = 1;  // the sender trivially holds the packet
-    insert_sorted(result.forward_nodes, sender);
+    result.forward_nodes.push_back(sender);
     queue.push_back({sender, origin_head, std::move(forward_set)});
   }
 
@@ -108,6 +108,8 @@ struct Session {
       result.trace.push_back(t);
       for (NodeId nb : g.neighbors(t.sender)) deliver(t, nb);
     }
+    // One sort + dedup: a relay transmits once per origin it serves.
+    normalize(result.forward_nodes);
     result.delivered_all =
         std::all_of(result.received.begin(), result.received.end(),
                     [](char c) { return c != 0; });

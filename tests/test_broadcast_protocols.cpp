@@ -4,6 +4,7 @@
 
 #include "broadcast/dominant_pruning.hpp"
 #include "broadcast/flooding.hpp"
+#include "broadcast/lossy.hpp"
 #include "broadcast/mpr.hpp"
 #include "broadcast/si_cds.hpp"
 #include "common/rng.hpp"
@@ -99,6 +100,22 @@ TEST(DominantPruningTest, TriangleAvoidsRedundancy) {
   EXPECT_EQ(s.forward_count(), 1u);
 }
 
+TEST(DominantPruningTest, NamedNodeRelaysAfterAnUnnamedFirstCopy) {
+  // 0 names {1, 2}. 1 transmits first and reaches 5 without naming it
+  // (1 covers 6 itself); 2's packet then names 5 to cover 6. 5 must relay
+  // on that later packet although its first copy came from 1.
+  const auto g = graph::make_graph(
+      7, {{0, 1}, {0, 2}, {1, 3}, {2, 4}, {1, 5}, {2, 5}, {1, 6}, {5, 6}});
+  for (const auto rule :
+       {PruningRule::kDominant, PruningRule::kPartialDominant}) {
+    const auto s = dominant_pruning_broadcast(g, 0, rule);
+    EXPECT_TRUE(s.delivered_all);
+    EXPECT_EQ(s.forward_nodes, (NodeSet{0, 1, 2, 5}));
+    EXPECT_EQ(s.transmissions, 4u);
+    EXPECT_EQ(s.first_copy_hops[5], 2u);
+  }
+}
+
 TEST(MprTest, SetsCoverTwoHopNeighborhood) {
   const auto g = testing::paper_figure3_network();
   const auto mpr = compute_mpr_sets(g);
@@ -128,6 +145,25 @@ TEST(MprTest, SoleReacherIsForced) {
   const auto g = graph::make_path(3);
   const auto mpr = compute_mpr_sets(g);
   EXPECT_EQ(mpr[0], (NodeSet{1}));
+}
+
+TEST(MprTest, SelectorCopyAfterANonSelectorCopyStillRelays) {
+  // 0 selects {1, 2}; 1 transmits first and reaches 3 without selecting
+  // it, then 2's copy arrives from a node that did select 3. 3 relays on
+  // that copy, on the ideal channel and on a zero-loss one alike.
+  const auto g = graph::make_graph(
+      6, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 5}, {3, 5}, {2, 4}});
+  const auto mpr = compute_mpr_sets(g);
+  ASSERT_EQ(mpr[0], (NodeSet{1, 2}));
+  ASSERT_FALSE(contains_sorted(mpr[1], 3));
+  ASSERT_TRUE(contains_sorted(mpr[2], 3));
+  Rng rng(3);
+  for (const auto& s : {mpr_broadcast(g, mpr, 0),
+                        mpr_broadcast_lossy(g, mpr, 0, LossModel{0.0}, rng)}) {
+    EXPECT_TRUE(s.delivered_all);
+    EXPECT_EQ(s.forward_nodes, (NodeSet{0, 1, 2, 3}));
+    EXPECT_EQ(s.first_copy_hops[3], 2u);
+  }
 }
 
 TEST(MprTest, RejectsMismatchedTable) {

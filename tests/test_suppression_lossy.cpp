@@ -107,13 +107,40 @@ TEST(SuppressionTest, RejectsBadArguments) {
   EXPECT_THROW(suppression_flood(g, 0, zero, rng), std::invalid_argument);
 }
 
-TEST(LossyTest, ZeroLossMatchesIdealChannel) {
-  const auto g = testing::paper_figure3_network();
-  Rng rng(12);
-  const auto lossy = flood_lossy(g, 0, LossModel{0.0}, rng);
-  const auto ideal = flood(g, 0);
+/// A zero-loss run must be the ideal-channel run, field by field.
+void expect_same_run(const BroadcastStats& lossy, const BroadcastStats& ideal) {
   EXPECT_EQ(lossy.forward_nodes, ideal.forward_nodes);
-  EXPECT_TRUE(lossy.delivered_all);
+  EXPECT_EQ(lossy.transmissions, ideal.transmissions);
+  EXPECT_EQ(lossy.first_copy_hops, ideal.first_copy_hops);
+  EXPECT_EQ(lossy.received, ideal.received);
+  EXPECT_EQ(lossy.delivered_all, ideal.delivered_all);
+}
+
+TEST(LossyTest, ZeroLossMatchesIdealChannel) {
+  Rng topo_rng(19);
+  geom::UnitDiskConfig cfg;
+  cfg.nodes = 60;
+  cfg.range = geom::range_for_average_degree(10.0, 60, 100, 100);
+  const auto net = geom::generate_connected_unit_disk(cfg, topo_rng);
+  ASSERT_TRUE(net.has_value());
+  const LossModel none{0.0};
+  Rng rng(12);
+  for (const auto& g : {testing::paper_figure3_network(), net->graph}) {
+    const auto bb = core::build_static_backbone(
+        g, core::CoverageMode::kTwoPointFiveHop);
+    const auto mpr = compute_mpr_sets(g);
+    for (NodeId source = 0; source < g.order(); source += 3) {
+      SCOPED_TRACE(::testing::Message() << "n=" << g.order()
+                                        << " source=" << source);
+      const auto flooded = flood_lossy(g, source, none, rng);
+      EXPECT_TRUE(flooded.delivered_all);
+      expect_same_run(flooded, flood(g, source));
+      expect_same_run(si_cds_broadcast_lossy(g, bb.cds, source, none, rng),
+                      si_cds_broadcast(g, bb.cds, source));
+      expect_same_run(mpr_broadcast_lossy(g, mpr, source, none, rng),
+                      mpr_broadcast(g, mpr, source));
+    }
+  }
 }
 
 TEST(LossyTest, HighLossDegradesDelivery) {

@@ -33,7 +33,6 @@ struct ChurnConfig {
   double degree = 6.0;          ///< target average degree (paper: 6 / 18)
   std::size_t ticks = 100;      ///< mobility ticks to simulate
   double move_fraction = 0.01;  ///< fraction of nodes moving per tick
-  double dt = 1.0;              ///< time units per tick
   Model model = Model::kWaypoint;
   core::CoverageMode mode = core::CoverageMode::kTwoPointFiveHop;
   std::uint64_t seed = 0;

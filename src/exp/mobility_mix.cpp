@@ -10,7 +10,7 @@
 
 namespace manet::exp {
 
-MobilityMix::MobilityMix(const ChurnConfig& config) : dt_(config.dt) {
+MobilityMix::MobilityMix(const ChurnConfig& config) {
   MANET_REQUIRE(config.nodes >= 2, "churn run needs at least two nodes");
   MANET_REQUIRE(config.move_fraction > 0.0 && config.move_fraction <= 1.0,
                 "move fraction must be in (0, 1]");
@@ -106,7 +106,7 @@ std::span<const NodeId> MobilityMix::advance(std::size_t movers) {
     std::swap(ids_[j], ids_[k]);
   }
   const std::span<const NodeId> moved(ids_.data(), movers);
-  std::visit([&](auto& m) { m.step_nodes(moved, dt_); }, *mover_);
+  std::visit([&](auto& m) { m.step_nodes(moved, 1.0); }, *mover_);
   return moved;
 }
 

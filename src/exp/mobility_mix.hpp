@@ -38,8 +38,8 @@ class MobilityMix {
   std::size_t movers_per_tick() const { return movers_per_tick_; }
 
   /// Samples `movers` distinct nodes (partial Fisher–Yates over all
-  /// ids — the same stream run_churn consumes) and steps them dt
-  /// forward. The returned span is valid until the next advance().
+  /// ids — the same stream run_churn consumes) and steps them one time
+  /// unit forward. The returned span is valid until the next advance().
   std::span<const NodeId> advance(std::size_t movers);
   std::span<const NodeId> advance() { return advance(movers_per_tick_); }
 
@@ -47,7 +47,6 @@ class MobilityMix {
   using Mover =
       std::variant<mobility::WaypointModel, mobility::RandomDirectionModel>;
 
-  double dt_;
   double range_ = 0.0;
   bool connected_ = false;
   std::size_t attempts_used_ = 0;

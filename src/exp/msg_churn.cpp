@@ -42,7 +42,6 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
   eopts.grid = base.grid;
   eopts.streaming_build = base.streaming_build;
   eopts.obs = base.obs;
-  eopts.max_rounds_per_tick = config.max_rounds_per_tick;
   eopts.threads = config.engine_threads;
   eopts.inject_stale_gateway_fault = config.inject_stale_gateway_fault;
   proto::MaintenanceEngine engine(mix.positions(), mix.range(), base.width,

@@ -20,10 +20,10 @@
 namespace manet::exp {
 
 /// One message-maintenance run. Embeds ChurnConfig for the shared
-/// topology/mobility/mode/seed knobs (pipeline_depth and rebuild_* are
-/// ignored: the protocol engine is sequential by nature — one message at
-/// a time is the model; `threads` applies to the crosscheck witness
-/// pipeline, whose state is bitwise thread-count-invariant).
+/// topology/mobility/mode/seed knobs. pipeline_depth and rebuild_* are
+/// ignored; `threads` sizes the crosscheck witness pipeline, while the
+/// protocol engine's own lanes are `engine_threads` (its state is
+/// bitwise thread-count-invariant either way).
 struct MsgChurnConfig {
   ChurnConfig base;
   /// Drive an incremental pipeline over the identical move sequence and
@@ -38,8 +38,6 @@ struct MsgChurnConfig {
   /// larger). The burst tick's round count measures reconvergence after
   /// a correlated topology shock.
   double burst_fraction = 0.0;
-  /// Simulator livelock guard, per tick.
-  std::uint32_t max_rounds_per_tick = 100000;
   /// Region-sharded engine execution (proto::EngineOptions::threads):
   /// 0 = the classic sequential simulator loop, k >= 1 = active repair
   /// regions as independent scoped simulations on k lanes. State hash

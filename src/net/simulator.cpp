@@ -95,19 +95,15 @@ Simulator::Simulator(const graph::Graph& g, const Factory& factory)
     : owned_topo_(std::make_unique<GraphTopology>(g)),
       dispatch_(Dispatch::kEveryNode) {
   topo_ = owned_topo_.get();
-  MANET_REQUIRE(factory != nullptr, "node factory required");
-  const std::size_t n = topo_->order();
-  nodes_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) nodes_.push_back(factory(v));
-  inbox_count_.assign(n, 0);
-  inbox_begin_.assign(n, 0);
-  inbox_cursor_.assign(n, 0);
-  seen_stamp_.assign(n, 0);
+  create_nodes(factory);
 }
 
-Simulator::Simulator(const Topology& topo, const Factory& factory,
-                     Dispatch dispatch)
-    : topo_(&topo), dispatch_(dispatch) {
+Simulator::Simulator(const Topology& topo, const Factory& factory)
+    : topo_(&topo), dispatch_(Dispatch::kEventDriven) {
+  create_nodes(factory);
+}
+
+void Simulator::create_nodes(const Factory& factory) {
   MANET_REQUIRE(factory != nullptr, "node factory required");
   const std::size_t n = topo_->order();
   nodes_.reserve(n);
@@ -469,7 +465,7 @@ class Simulator::ShardMailbox final : public Mailbox {
         ++rr_.depth_counts[m.depth];
       }
       const auto [a, b] = journal_summary(m.body);
-      rr_.journal.push_back({journal_round_, m.from,
+      rr_.journal.push_back({0, journal_round_, m.from,
                              message_type_name(m.body), m.trace_id,
                              m.parent_id, m.depth, a, b});
     }
@@ -692,8 +688,8 @@ std::uint32_t Simulator::finish_sharded_tick(std::span<RegionRun> regions,
     // Region-ascending journal flush + summed accumulator merges keep
     // every observable bitwise-identical across thread counts.
     for (const RegionRun& rr : regions)
-      for (const ShardJournalEntry& e : rr.journal)
-        obs_->journal.record(e.round, e.from, e.type, e.trace_id,
+      for (const obs::JournalEvent& e : rr.journal)
+        obs_->journal.record(e.round, e.node, e.type, e.trace_id,
                              e.parent_id, e.depth, e.a, e.b);
     for (const RegionRun& rr : regions) {
       if (rr.depth_counts.size() > depth_counts_.size())

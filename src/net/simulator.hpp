@@ -26,6 +26,7 @@
 #include "common/ids.hpp"
 #include "graph/graph.hpp"
 #include "net/message.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
 namespace manet::obs {
@@ -115,20 +116,6 @@ struct DeliveryStats {
   std::size_t dispatches = 0;
 };
 
-/// One buffered journal record of a region run. Regions journal into
-/// private buffers while running concurrently; finish_sharded_tick
-/// flushes them region-ascending, so the session journal is
-/// bitwise-identical across thread counts.
-struct ShardJournalEntry {
-  std::uint32_t round = 0;
-  NodeId from = 0;
-  const char* type = nullptr;  ///< static wire name (message_type_name)
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_id = 0;
-  std::uint32_t depth = 0;
-  std::uint64_t a = 0, b = 0;  ///< payload summary
-};
-
 /// Private execution context of one active repair region during a
 /// sharded maintenance tick (Simulator::run_region). The caller sets the
 /// inputs, run_region fills the outputs, finish_sharded_tick merges them
@@ -162,7 +149,11 @@ struct RegionRun {
   std::vector<std::uint32_t> inbox_size_counts;
   /// Caused-send counts by causal depth (observed runs only).
   std::vector<std::uint32_t> depth_counts;
-  std::vector<ShardJournalEntry> journal;
+  /// Journal events of this run (observed runs only). Regions buffer
+  /// them while running concurrently; finish_sharded_tick records them
+  /// region-ascending, so the session journal is bitwise-identical
+  /// across thread counts. The tick field is stamped at record time.
+  std::vector<obs::JournalEvent> journal;
   // ---- private scratch ----
   std::vector<Message> flight, next_flight;
   std::vector<NodeId> touched, awake, dispatch;
@@ -201,14 +192,14 @@ class Simulator {
     kEventDriven,
   };
 
-  /// Creates one process per vertex of `g` via `factory`.
+  /// Creates one process per vertex of `g` via `factory`; every-node
+  /// dispatch.
   Simulator(const graph::Graph& g, const Factory& factory);
 
   /// Dynamic-topology mode: delivery reads `topo` (which must outlive
   /// the simulator) every round, so adjacency edits between run() calls
-  /// take effect immediately.
-  Simulator(const Topology& topo, const Factory& factory,
-            Dispatch dispatch = Dispatch::kEventDriven);
+  /// take effect immediately. Event-driven dispatch.
+  Simulator(const Topology& topo, const Factory& factory);
 
   /// Runs to quiescence; returns the number of rounds executed by this
   /// call. Throws std::runtime_error if `max_rounds` elapse first
@@ -341,6 +332,9 @@ class Simulator {
   /// Pushes the locally accumulated per-type message counts and inbox
   /// sizes into the attached session's registry (end of run(), detach).
   void flush_obs();
+
+  /// Shared constructor body: one process per topology node.
+  void create_nodes(const Factory& factory);
 
   /// Rebuilds awake_ by polling every process (start / timer edges).
   void poll_awake();

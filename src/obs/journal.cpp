@@ -9,19 +9,6 @@
 
 namespace manet::obs {
 
-Journal::Journal(std::size_t capacity) : capacity_(capacity) {
-  MANET_REQUIRE(capacity_ > 0, "journal needs a positive capacity");
-#if MANET_OBS_ENABLED
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-#endif
-}
-
-void Journal::clear() {
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-}
-
 std::optional<JournalEvent> Journal::find_trace(
     std::uint64_t trace_id) const {
   std::optional<JournalEvent> hit;

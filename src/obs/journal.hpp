@@ -1,20 +1,23 @@
-// Bounded structured event journal: the queryable sibling of the trace
-// ring. Where the TraceRecorder stores renderable Chrome events, the
+// Bounded structured event journal: the protocol half of the flight
+// recorder. Where the TraceRecorder holds wall-clock phase spans, the
 // Journal keeps *protocol* events — (tick, round, node, message type,
 // causal trace/parent ids, payload summary) — so divergence forensics
 // and the trace_inspect CLI can walk a repair wave backward through its
-// parent links instead of eyeballing a raw event tail.
+// parent links instead of eyeballing a raw event tail. It is also the
+// only source of the Chrome export's per-send instants and causal flow
+// arrows (TraceRecorder::write_chrome_trace with a journal).
 //
-// Fixed capacity, overwrites oldest (flight-recorder semantics): after a
-// long soak the journal holds the ticks leading up to the failure, which
-// is exactly the slice forensics needs. Every stored field is an integer
-// derived from deterministic protocol quantities (never wall-clock), so
-// two runs of the same seed produce byte-identical journals.
+// Stored in an obs::Ring (overwrites oldest): after a long soak the
+// journal holds the ticks leading up to the failure, which is exactly
+// the slice forensics needs. Every stored field is an integer derived
+// from deterministic protocol quantities (never wall-clock), so two
+// runs of the same seed produce byte-identical journals.
 //
 // `type` is a borrowed const char* — pass string literals (the message
 // type names) that outlive the journal.
 //
-// Not thread-safe: one journal per instrumented sequential engine.
+// Not thread-safe: one journal per instrumented engine (sharded region
+// runs buffer their events and the merge records them in order).
 // Compiled out entirely with -DMANET_OBS=OFF.
 #pragma once
 
@@ -22,11 +25,10 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#ifndef MANET_OBS_ENABLED
-#define MANET_OBS_ENABLED 1
-#endif
+#include "obs/ring.hpp"
 
 namespace manet::obs {
 
@@ -49,12 +51,13 @@ struct JournalEvent {
   std::uint64_t b = 0;          ///< second payload summary
 };
 
-/// Fixed-capacity ring of protocol events with causal-chain queries.
+/// Bounded protocol-event log with causal-chain queries.
 class Journal {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
-  explicit Journal(std::size_t capacity = kDefaultCapacity);
+  explicit Journal(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
   /// Engine-tick epoch stamped on subsequent record() calls.
   void set_tick(std::uint64_t tick) {
@@ -66,59 +69,23 @@ class Journal {
   }
   std::uint64_t current_tick() const { return tick_; }
 
-  /// Inline: this is the only per-transmission work on the simulator's
-  /// observed hot path, so it must compile down to a handful of stores.
+  /// The simulator's per-send hot path: one ring push.
   void record(std::uint32_t round, std::uint32_t node, const char* type,
               std::uint64_t trace_id, std::uint64_t parent_id,
               std::uint32_t depth, std::uint64_t a, std::uint64_t b) {
-#if MANET_OBS_ENABLED
-    const JournalEvent e{tick_, round, node, type, trace_id, parent_id,
-                         depth,  a,     b};
-    if (ring_.size() < capacity_) {
-      ring_.push_back(e);
-    } else {
-      ring_[next_] = e;
-#if defined(__GNUC__)
-      // A full ring dwarfs the cache, so each slot's first store takes
-      // a read-for-ownership miss all the way to DRAM; prefetching a
-      // few slots ahead overlaps that miss with protocol work instead
-      // of stalling the send.
-      constexpr std::size_t kAhead = 8;
-      const std::size_t pf = next_ + kAhead < capacity_
-                                 ? next_ + kAhead
-                                 : next_ + kAhead - capacity_;
-      __builtin_prefetch(ring_.data() + pf, 1);
-#endif
-    }
-    if (++next_ == capacity_) next_ = 0;
-    ++total_;
-#else
-    (void)round;
-    (void)node;
-    (void)type;
-    (void)trace_id;
-    (void)parent_id;
-    (void)depth;
-    (void)a;
-    (void)b;
-#endif
+    ring_.push({tick_, round, node, type, trace_id, parent_id, depth, a, b});
   }
 
   std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Events ever recorded (size() plus overwritten ones).
-  std::uint64_t total_recorded() const { return total_; }
-  void clear();
+  std::uint64_t total_recorded() const { return ring_.total(); }
+  void clear() { ring_.clear(); }
 
   /// Invokes `fn(event)` oldest-first over the retained window.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (ring_.size() < capacity_) {
-      for (const auto& e : ring_) fn(e);
-      return;
-    }
-    for (std::size_t i = 0; i < ring_.size(); ++i)
-      fn(ring_[(next_ + i) % capacity_]);
+    ring_.for_each(std::forward<Fn>(fn));
   }
 
   /// The retained event with this causal id (ids are unique per run).
@@ -142,10 +109,7 @@ class Journal {
   static std::string format_event(const JournalEvent& e);
 
  private:
-  std::vector<JournalEvent> ring_;
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  std::uint64_t total_ = 0;
+  Ring<JournalEvent> ring_;
   std::uint64_t tick_ = 0;
 };
 

@@ -118,8 +118,7 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
       [this, n](NodeId v) {
         return std::make_unique<MaintenanceNode>(v, options_.mode, n,
                                                  &ledger_, &scratch_, &store_);
-      },
-      net::Simulator::Dispatch::kEventDriven);
+      });
 
   // Seed every node's protocol state from the converged backbone: its
   // affiliation, its neighbors' affiliations and cached rows, its own
@@ -237,7 +236,7 @@ MaintTickStats MaintenanceEngine::tick() {
     const incr::EdgeDelta delta = tracker_.commit();
     stats.link_changes = delta.added.size() + delta.removed.size();
     sim_->trigger_timers();
-    stats.rounds = sim_->run(options_.max_rounds_per_tick);
+    stats.rounds = sim_->run();  // default livelock guard per tick
   } else {
     stats.rounds = run_sharded_tick(stats);
   }
@@ -400,8 +399,7 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
         if (scope_tag_[w] != tag)
           nd.mark_neighbor_heard(w, net::Cause{base + w + 1, 0});
     };
-    sim_->run_region(rr, scope_tag_.data(), before, after,
-                     options_.max_rounds_per_tick);
+    sim_->run_region(rr, scope_tag_.data(), before, after);
   };
   if (pool_ != nullptr && A > 1) {
     pool_->run(A, run_one);

@@ -57,8 +57,6 @@ struct EngineOptions {
   /// plus the simulator's `net.*` instrumentation). Must outlive the
   /// engine. nullptr = unobserved.
   obs::Session* obs = nullptr;
-  /// Simulator livelock guard, per tick.
-  std::uint32_t max_rounds_per_tick = 100000;
   /// Region-sharded tick execution. 0 = the classic sequential
   /// simulator loop over all n nodes. >= 1 runs each tick's active
   /// repair regions as independent scoped simulations (1 = inline on
@@ -85,7 +83,8 @@ struct MaintTickStats {
   std::size_t expired_links = 0;     ///< neighbor-cache expiries (churn)
   /// Tick-relative decision round of every finalized repair this tick
   /// (rule-1 resignations and rule-2 re-affiliations) — how long each
-  /// repaired node's state stayed stale.
+  /// repaired node's state stayed stale. A multiset: the order is the
+  /// execution order, which is region-major under sharded execution.
   std::vector<std::uint32_t> stale_ages;
   net::MessageCounts messages;       ///< transmissions this tick, by type
   net::DeliveryStats delivery;       ///< delivery-layer cost this tick

@@ -191,7 +191,7 @@ TEST(ObsTraceTest, RingKeepsTheLastEvents) {
   obs::TraceRecorder rec(4);
   EXPECT_THROW(obs::TraceRecorder(0), std::invalid_argument);
   for (std::uint64_t tick = 0; tick < 10; ++tick)
-    rec.instant_at(tick * 100, "t", "e", tick);
+    rec.complete("t", "e", tick * 100, 10, tick);
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.capacity(), 4u);
   EXPECT_EQ(rec.total_recorded(), 10u);
@@ -235,57 +235,82 @@ TEST(ObsTraceTest, ChromeExportCarriesSpansAndArgs) {
   EXPECT_EQ(tail.str().find("hop1_scan"), std::string::npos);
 }
 
-TEST(ObsTraceTest, FlowEventsExportWithSharedIdentity) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  obs::TraceRecorder rec(16);
-  rec.flow_begin_at(1000, "proto", "wave", 7, 1, 2);
-  rec.flow_step_at(2000, "proto", "wave", 7, 1, 5);
-  rec.flow_end_at(3000, "proto", "wave", 7, 1, 9);
-  std::ostringstream os;
-  rec.write_chrome_trace(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"t\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
-  // All three carry the binding id; the 'f' carries the enclosing-slice
-  // binding point Chrome needs to anchor the arrow head.
-  std::size_t id_count = 0;
-  for (std::size_t pos = 0;
-       (pos = json.find("\"id\":7", pos)) != std::string::npos; ++pos)
-    ++id_count;
-  EXPECT_EQ(id_count, 3u);
-  EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
-  // The flow renders across the three node tracks (tid = node id).
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":9"), std::string::npos);
+/// The events of a Chrome-trace export, one JSON object string each.
+std::vector<std::string> trace_events(const std::string& json) {
+  const std::string open = "{\"traceEvents\":[";
+  const std::string close = "],\"displayTimeUnit\":\"ms\"}\n";
+  EXPECT_EQ(json.rfind(open, 0), 0u);
+  EXPECT_GE(json.size(), open.size() + close.size());
+  EXPECT_EQ(json.substr(json.size() - close.size()), close);
+  const std::string body =
+      json.substr(open.size(), json.size() - open.size() - close.size());
+  std::vector<std::string> events;
+  std::size_t start = 0;
+  for (std::size_t cut; (cut = body.find("},{", start)) != std::string::npos;
+       start = cut + 2)
+    events.push_back(body.substr(start, cut + 1 - start));
+  if (!body.empty()) events.push_back(body.substr(start));
+  return events;
 }
 
-TEST(ObsTraceTest, RingWrapDropsOrphanedFlowEnds) {
+TEST(ObsTraceTest, JournalExportDrawsSendsAndCausalArrows) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  obs::TraceRecorder rec(4);  // tiny ring to force eviction
-  rec.flow_begin_at(0, "proto", "wave", 1, 0, 0);
-  // Four fillers evict the flow-begin of id 1.
-  for (std::uint64_t i = 0; i < 4; ++i)
-    rec.instant_at(100 + i, "net", "filler", 0, 0);
-  rec.flow_end_at(500, "proto", "wave", 1, 0, 3);  // orphaned: 's' evicted
+  // A beacon from node 3 in round 2 causes node 5's announcement in
+  // round 3. Each send is an instant on the sender's track plus an 's'
+  // opening its own flow; the caused send also closes its parent's flow
+  // with an 'f' (the arrow), and the ring's spans follow the journal's.
+  obs::Journal journal(8);
+  journal.record(2, 3, "MAINT_HELLO", 1, 0, 0, 3, 0);
+  journal.record(3, 5, "R1_STATUS", 2, 1, 1, 5, 1);
+  obs::TraceRecorder rec(4);
+  rec.complete("proto", "tick", 1000, 500, 1);
   std::ostringstream os;
-  rec.write_chrome_trace(os);
-  const std::string orphaned = os.str();
-  // A 't'/'f' whose 's' fell off the ring would render as a dangling
-  // arrow from nowhere — the export must drop it.
-  EXPECT_EQ(orphaned.find("\"ph\":\"f\""), std::string::npos);
-  EXPECT_EQ(orphaned.find("\"id\":1"), std::string::npos);
+  rec.write_chrome_trace(os, &journal);
+  const std::vector<std::string> want = {
+      R"({"name":"MAINT_HELLO","cat":"net","ph":"i","pid":0,"tid":3,)"
+      R"("ts":2000.000,"s":"t","args":{"tick":2,"from":3}})",
+      R"({"name":"wave","cat":"proto","ph":"s","pid":0,"tid":3,)"
+      R"("ts":2000.000,"id":1,"args":{"tick":2}})",
+      R"({"name":"R1_STATUS","cat":"net","ph":"i","pid":0,"tid":5,)"
+      R"("ts":3000.000,"s":"t","args":{"tick":3,"from":5}})",
+      R"({"name":"wave","cat":"proto","ph":"s","pid":0,"tid":5,)"
+      R"("ts":3000.000,"id":2,"args":{"tick":3}})",
+      R"({"name":"wave","cat":"proto","ph":"f","pid":0,"tid":5,)"
+      R"("ts":3000.000,"id":1,"bp":"e","args":{"tick":3}})",
+      R"({"name":"tick","cat":"proto","ph":"X","pid":0,"tid":0,)"
+      R"("ts":1.000,"dur":0.500,"args":{"tick":1}})",
+  };
+  EXPECT_EQ(trace_events(os.str()), want);
+}
 
-  // A begin/end pair that BOTH survive the wrap still exports.
-  rec.flow_begin_at(600, "proto", "wave", 2, 0, 0);
-  rec.flow_end_at(700, "proto", "wave", 2, 0, 1);
-  std::ostringstream os2;
-  rec.write_chrome_trace(os2);
-  const std::string live = os2.str();
-  EXPECT_NE(live.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(live.find("\"ph\":\"f\""), std::string::npos);
-  EXPECT_NE(live.find("\"id\":2"), std::string::npos);
+TEST(ObsTraceTest, JournalExportDropsArrowsFromEvictedParents) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  // A two-slot journal: send 3's parent (send 1) has been overwritten,
+  // so its arrow would dangle from nowhere and is dropped — while the
+  // child's own instant and flow begin still export. Send 4's parent
+  // (send 3) is in the window, so its arrow stays.
+  obs::Journal journal(2);
+  journal.record(0, 1, "MAINT_HELLO", 1, 0, 0, 0, 0);
+  journal.record(0, 2, "MAINT_HELLO", 2, 0, 0, 0, 0);
+  journal.record(1, 7, "R2_STATUS", 3, 1, 1, 0, 0);
+  obs::TraceRecorder rec(4);
+  std::ostringstream orphaned;
+  rec.write_chrome_trace(orphaned, &journal);
+  std::vector<std::string> events = trace_events(orphaned.str());
+  ASSERT_EQ(events.size(), 4u);  // sends 2 and 3: 'i' + 's' each
+  EXPECT_NE(events[2].find(R"("ph":"i","pid":0,"tid":7,)"), std::string::npos);
+  EXPECT_NE(events[3].find(R"("ph":"s","pid":0,"tid":7,)"), std::string::npos);
+  EXPECT_NE(events[3].find(R"("id":3,)"), std::string::npos);
+  for (const std::string& e : events)
+    EXPECT_EQ(e.find(R"("ph":"f")"), std::string::npos) << e;
+
+  journal.record(2, 9, "GATEWAY", 4, 3, 2, 0, 0);
+  std::ostringstream live;
+  rec.write_chrome_trace(live, &journal);
+  events = trace_events(live.str());
+  ASSERT_EQ(events.size(), 5u);  // sends 3 and 4, plus 4's arrow
+  EXPECT_NE(events[4].find(R"("ph":"f","pid":0,"tid":9,)"), std::string::npos);
+  EXPECT_NE(events[4].find(R"("id":3,"bp":"e",)"), std::string::npos);
 }
 
 TEST(ObsJournalTest, RingQueriesAndCausalChain) {

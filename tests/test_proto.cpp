@@ -3,6 +3,7 @@
 // the equivalence soaks — every tick of a mobility run must land the
 // protocol on the bitwise state the snapshot-driven incremental engine
 // maintains (both mobility models, both coverage modes).
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -360,15 +361,79 @@ exp::ChurnConfig sharded_base(exp::ChurnConfig::Model model,
   return base;
 }
 
-// Lockstep hash soak: the sharded engine (at several thread counts) must
-// hold the sequential engine's exact state hash after every tick, under
-// both mobility models. The sequential engine is itself crosschecked
-// against the incremental pipeline elsewhere, so this transitively pins
-// the sharded state to the whole equivalence tower.
+/// Every deterministic MaintTickStats field — everything but the three
+/// wall-clock phase timings. The sharded merge computes the delivery
+/// stats analytically for the quiescent bulk, so they are pinned here
+/// alongside the counters the nodes produce.
+void expect_same_tick_stats(const proto::MaintTickStats& want,
+                            const proto::MaintTickStats& got,
+                            std::size_t threads, std::size_t tick) {
+  static_assert(sizeof(net::MessageCounts) == 10 * sizeof(std::size_t),
+                "MessageCounts changed: compare the new field here too");
+  static_assert(sizeof(net::DeliveryStats) == 3 * sizeof(std::size_t),
+                "DeliveryStats changed: compare the new field here too");
+  static_assert(sizeof(proto::MaintTickStats) ==
+                    7 * sizeof(std::size_t) +
+                        sizeof(std::vector<std::uint32_t>) +
+                        sizeof(net::MessageCounts) +
+                        sizeof(net::DeliveryStats) + 3 * sizeof(double),
+                "MaintTickStats changed: compare the new field here too");
+  SCOPED_TRACE(::testing::Message()
+               << "threads=" << threads << " at tick " << tick);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.link_changes, want.link_changes);
+  EXPECT_EQ(got.head_changes, want.head_changes);
+  EXPECT_EQ(got.role_changes, want.role_changes);
+  EXPECT_EQ(got.rows_changed, want.rows_changed);
+  EXPECT_EQ(got.heads_refreshed, want.heads_refreshed);
+  EXPECT_EQ(got.expired_links, want.expired_links);
+  // Sharded runs list stale ages region-major, the sequential loop in
+  // round order: equal as multisets.
+  std::vector<std::uint32_t> got_ages = got.stale_ages;
+  std::vector<std::uint32_t> want_ages = want.stale_ages;
+  std::sort(got_ages.begin(), got_ages.end());
+  std::sort(want_ages.begin(), want_ages.end());
+  EXPECT_EQ(got_ages, want_ages);
+  const net::MessageCounts& gm = got.messages;
+  const net::MessageCounts& wm = want.messages;
+  EXPECT_EQ(gm.hello, wm.hello);
+  EXPECT_EQ(gm.cluster_head, wm.cluster_head);
+  EXPECT_EQ(gm.non_cluster_head, wm.non_cluster_head);
+  EXPECT_EQ(gm.ch_hop1, wm.ch_hop1);
+  EXPECT_EQ(gm.ch_hop2, wm.ch_hop2);
+  EXPECT_EQ(gm.gateway, wm.gateway);
+  EXPECT_EQ(gm.data, wm.data);
+  EXPECT_EQ(gm.maint_hello, wm.maint_hello);
+  EXPECT_EQ(gm.r1_status, wm.r1_status);
+  EXPECT_EQ(gm.r2_status, wm.r2_status);
+  EXPECT_EQ(got.delivery.deliveries, want.delivery.deliveries);
+  EXPECT_EQ(got.delivery.inbox_resets, want.delivery.inbox_resets);
+  EXPECT_EQ(got.delivery.dispatches, want.delivery.dispatches);
+}
+
+// Lockstep soak: the sharded engine (at several thread counts) must hold
+// the sequential engine's exact state hash and tick statistics after
+// every tick, under both mobility models. The sequential engine is
+// itself crosschecked against the incremental pipeline elsewhere, so
+// this transitively pins the sharded state to the whole equivalence
+// tower.
 TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
+  // At n = 80 every tick's movers paint one region. The sparse n = 2000
+  // case (4 movers a tick) gives ticks with two to four active regions,
+  // so the merge's region-ascending accounting is exercised too.
+  for (const std::size_t nodes : {std::size_t{80}, std::size_t{2000}})
   for (const auto model : {exp::ChurnConfig::Model::kWaypoint,
                            exp::ChurnConfig::Model::kRandomDirection}) {
-    const exp::ChurnConfig base = sharded_base(model, 41);
+    exp::ChurnConfig base = sharded_base(model, 41);
+    if (nodes != base.nodes) {
+      base.nodes = nodes;
+      base.move_fraction = 0.002;
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << nodes << ", model "
+                 << (model == exp::ChurnConfig::Model::kWaypoint
+                         ? "waypoint"
+                         : "direction"));
     exp::MobilityMix seq_mix(base);
     proto::EngineOptions seq_opts;
     seq_opts.mode = base.mode;
@@ -393,21 +458,19 @@ TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
           seq_mix.advance(seq_mix.movers_per_tick());
       for (const NodeId v : moved)
         sequential.stage_move(v, seq_mix.positions()[v]);
-      sequential.tick();
+      const proto::MaintTickStats want = sequential.tick();
       const std::uint64_t expect = sequential.state_hash();
       for (std::size_t i = 0; i < engines.size(); ++i) {
         const std::span<const NodeId> m =
             mixes[i]->advance(mixes[i]->movers_per_tick());
         for (const NodeId v : m)
           engines[i]->stage_move(v, mixes[i]->positions()[v]);
-        engines[i]->tick();
+        const proto::MaintTickStats got = engines[i]->tick();
         ASSERT_EQ(engines[i]->state_hash(), expect)
             << "threads=" << thread_counts[i] << " diverged at tick "
-            << tick + 1 << " (model "
-            << (model == exp::ChurnConfig::Model::kWaypoint ? "waypoint"
-                                                            : "direction")
-            << ")";
+            << tick + 1;
         ASSERT_EQ(engines[i]->cross_scope_late(), 0u);
+        expect_same_tick_stats(want, got, thread_counts[i], tick + 1);
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
+
 namespace manet {
 
 bool insert_sorted(NodeSet& s, NodeId v) {
@@ -20,6 +22,33 @@ bool erase_sorted(NodeSet& s, NodeId v) {
   if (it == s.end() || *it != v) return false;
   s.erase(it);
   return true;
+}
+
+void apply_sorted_flips(NodeSet& s, const NodeSet& removed,
+                        const NodeSet& added) {
+  if (!removed.empty()) {
+    auto r = removed.begin();
+    auto out = std::lower_bound(s.begin(), s.end(), *r);
+    for (auto it = out; it != s.end(); ++it) {
+      while (r != removed.end() && *r < *it) ++r;
+      if (r != removed.end() && *r == *it) continue;
+      *out++ = *it;
+    }
+    s.erase(out, s.end());
+  }
+  // Backward merge into the grown tail: every element moves at most once.
+  std::size_t i = s.size();
+  std::size_t j = added.size();
+  s.resize(i + j);
+  for (std::size_t k = s.size(); j > 0;) {
+    MANET_ASSERT(i == 0 || s[i - 1] != added[j - 1],
+                 "flip adds an element already in the set");
+    if (i > 0 && s[i - 1] > added[j - 1]) {
+      s[--k] = s[--i];
+    } else {
+      s[--k] = added[--j];
+    }
+  }
 }
 
 void normalize(NodeSet& s) {

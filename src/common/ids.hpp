@@ -31,6 +31,14 @@ bool contains_sorted(const NodeSet& s, NodeId v);
 /// Removes `v` from the sorted-unique set `s`; returns true if removed.
 bool erase_sorted(NodeSet& s, NodeId v);
 
+/// Applies a batch of flips to the sorted-unique set `s` in one merge
+/// pass, in place: drops every element of `removed`, then merges in
+/// `added` (both sorted-unique; `added` must be disjoint from what stays
+/// in `s`). The result equals erase_sorted / insert_sorted per element,
+/// in O(|s| + |removed| + |added|) instead of O(|s|) per flip.
+void apply_sorted_flips(NodeSet& s, const NodeSet& removed,
+                        const NodeSet& added);
+
 /// Sorts and deduplicates `s` in place (turns any vector into a NodeSet).
 void normalize(NodeSet& s);
 

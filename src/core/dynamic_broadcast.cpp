@@ -24,10 +24,16 @@ struct Session {
   std::vector<NodeSet> relayed_origins;
   std::vector<char> head_processed;
   std::deque<Transmission> queue;
+  // Per-broadcast scratch reused by every head: the selection bitsets,
+  // the pruning-exclusion marks and the pruned coverage. Each head leaves
+  // the bitsets clean, so a broadcast zero-fills them once, not per head.
+  SelectionScratch selection;
+  graph::NodeBitset excluded;
+  Coverage remaining;
 
   Session(const graph::Graph& graph, const DynamicBackbone& backbone,
           const DynamicBroadcastOptions& opts)
-      : g(graph), bb(backbone), options(opts) {
+      : g(graph), bb(backbone), options(opts), excluded(graph.order()) {
     result.received.assign(g.order(), 0);
     result.first_copy_hops.assign(g.order(),
                                   std::numeric_limits<std::uint32_t>::max());
@@ -45,31 +51,49 @@ struct Session {
   }
 
   /// Clusterhead `h` processes its first copy; `relay` is the node it
-  /// heard it from, `upstream` / `upstream_coverage` ride on the packet.
-  void head_process(NodeId h, NodeId relay, NodeId upstream,
-                    const NodeSet& upstream_coverage) {
+  /// heard it from, `upstream` the head whose selection rode on the
+  /// packet (its coverage C(u) is pruned along with u itself).
+  void head_process(NodeId h, NodeId relay, NodeId upstream) {
     if (head_processed[h]) return;
     head_processed[h] = 1;
 
-    Coverage remaining = bb.coverage[h];
-    if (options.piggyback_pruning && upstream != kInvalidNode) {
-      remaining.two_hop = set_difference(remaining.two_hop,
-                                         upstream_coverage);
-      remaining.three_hop = set_difference(remaining.three_hop,
-                                           upstream_coverage);
-      erase_sorted(remaining.two_hop, upstream);
-      erase_sorted(remaining.three_hop, upstream);
-    }
-    if (options.relay_exclusion && relay != kInvalidNode &&
-        !bb.clustering.is_head(relay)) {
+    // Mark C(u) ∪ {u} and the relay's adjacent heads, keep the part of
+    // C(h) left unmarked, then unmark through the same lists:
+    // O(|C(h)| + |C(u)| + |N(r)|) instead of four set differences.
+    const bool piggyback =
+        options.piggyback_pruning && upstream != kInvalidNode;
+    const bool exclude_relay = options.relay_exclusion &&
+                               relay != kInvalidNode &&
+                               !bb.clustering.is_head(relay);
+    const auto mark = [&](bool on) {
+      const auto flip = [&](NodeId v) {
+        if (on) {
+          excluded.set(v);
+        } else {
+          excluded.reset(v);
+        }
+      };
+      if (piggyback) {
+        for (const NodeId v : bb.coverage[upstream].two_hop) flip(v);
+        for (const NodeId v : bb.coverage[upstream].three_hop) flip(v);
+        flip(upstream);
+      }
       // Heads adjacent to the relay heard its transmission too.
-      const NodeSet& heard = bb.tables.ch_hop1[relay];
-      remaining.two_hop = set_difference(remaining.two_hop, heard);
-      remaining.three_hop = set_difference(remaining.three_hop, heard);
-    }
+      if (exclude_relay)
+        for (const NodeId v : bb.tables.ch_hop1[relay]) flip(v);
+    };
+    const auto keep = [&](const NodeSet& from, NodeSet& into) {
+      into.clear();
+      for (const NodeId v : from)
+        if (!excluded.test(v)) into.push_back(v);
+    };
+    mark(true);
+    keep(bb.coverage[h].two_hop, remaining.two_hop);
+    keep(bb.coverage[h].three_hop, remaining.three_hop);
+    mark(false);
 
-    const auto sel =
-        select_gateways(g, bb.clustering, bb.tables, h, remaining);
+    const auto sel = select_gateways(g, bb.clustering, bb.tables, h,
+                                     remaining, selection);
     // Every head locally broadcasts once, even with an empty forward set,
     // to reach its own cluster members.
     transmit(h, h, sel.gateways);
@@ -81,10 +105,7 @@ struct Session {
           result.first_copy_hops[t.sender] + 1;
     result.received[receiver] = 1;
     if (bb.clustering.is_head(receiver)) {
-      head_process(receiver, t.sender, t.origin_head,
-                   t.origin_head == kInvalidNode
-                       ? NodeSet{}
-                       : bb.coverage[t.origin_head].all());
+      head_process(receiver, t.sender, t.origin_head);
       return;
     }
     // Forward nodes relay onward; the forward set and origin metadata
@@ -96,7 +117,7 @@ struct Session {
   void run(NodeId source) {
     result.first_copy_hops[source] = 0;
     if (bb.clustering.is_head(source)) {
-      head_process(source, kInvalidNode, kInvalidNode, {});
+      head_process(source, kInvalidNode, kInvalidNode);
     } else {
       // Step 1: the source hands the packet to its clusterhead. The
       // transmission physically reaches every neighbor.

@@ -109,6 +109,7 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
     mirror_ms += stats.mirror_ms;
     result.max_rounds = std::max(result.max_rounds, stats.rounds);
     if (is_burst) result.burst_rounds = stats.rounds;
+    if (engine.active_regions() > 1) ++result.multi_region_ticks;
     msgs.maint_hello += stats.messages.maint_hello;
     msgs.r1_status += stats.messages.r1_status;
     msgs.r2_status += stats.messages.r2_status;

@@ -57,6 +57,8 @@ struct MsgChurnResult {
   double mean_rounds = 0.0;       ///< simulator rounds per tick
   std::uint32_t max_rounds = 0;
   std::uint32_t burst_rounds = 0;  ///< rounds of the burst tick (0 = none)
+  /// Sharded ticks that ran two or more active repair regions.
+  std::size_t multi_region_ticks = 0;
   // Transmissions per node per tick, by type.
   double hello_rate = 0.0;        ///< MAINT_HELLO (always 1.0)
   double repair_rate = 0.0;       ///< R1_STATUS + R2_STATUS

@@ -143,8 +143,7 @@ ClusterRepair merge_repairs(const graph::DynamicAdjacency& g,
   normalize(rep.resigned);
   normalize(rep.declared);
   normalize(rep.head_changed);
-  for (const NodeId h : rep.resigned) erase_sorted(c.heads, h);
-  for (const NodeId h : rep.declared) insert_sorted(c.heads, h);
+  apply_sorted_flips(c.heads, rep.resigned, rep.declared);
 
   // Roles: refresh exactly the support of the role predicate.
   NodeSet support = rep.head_changed;

@@ -409,35 +409,35 @@ std::uint32_t Simulator::run(std::uint32_t max_rounds) {
 
 // ---- Region-sharded maintenance ticks ------------------------------------
 
-/// Collects one region's transmissions, stamping the trace ids the
-/// sharded scheme assigns: beacons get the id the sequential
-/// trigger_timers would have handed out (base + sender + 1 — every node
-/// beacons in id order there), round-phase sends get region-interleaved
-/// ids above the beacon block (base + n + k*R + r + 1 for the region's
-/// k-th send) so ids stay unique and deterministic no matter how many
-/// threads execute the regions. Counting and journaling land in the
-/// RegionRun, never in shared simulator state.
-class Simulator::ShardMailbox final : public Mailbox {
+/// Collects one chunk's transmissions. A timer sends exactly its beacon,
+/// written straight into the node's slot of the region's flight with the
+/// id the sequential trigger_timers would have handed out (base + sender
+/// + 1 — every node beacons in id order there). Round-phase sends go to
+/// the chunk's buffer unstamped; the phase merge hands out region-
+/// interleaved ids above the beacon block in merged order (base + n +
+/// k*R + r + 1 for the region's k-th send), so ids stay unique and
+/// deterministic no matter how many threads execute the regions and
+/// their chunks. Counting and journaling land in the chunk, never in
+/// shared simulator state.
+class Simulator::ChunkMailbox final : public Mailbox {
  public:
-  ShardMailbox(const Simulator& sim, RegionRun& rr, bool observed)
-      : sim_(sim), rr_(rr), observed_(observed) {}
+  ChunkMailbox(const Simulator& sim, RegionChunk& out, bool observed,
+               bool timer, std::uint32_t journal_round)
+      : sim_(sim),
+        out_(out),
+        observed_(observed),
+        timer_(timer),
+        journal_round_(journal_round) {}
 
-  void begin_timer(NodeId from) {
-    timer_mode_ = true;
-    timer_sends_ = 0;
+  /// Opens `from`'s dispatch; `beacon` is its flight slot in the timer
+  /// phase, nullptr in rounds.
+  void begin(NodeId from, Message* beacon) {
     from_ = from;
-    target_ = &rr_.flight;
-    journal_round_ = sim_.round_;
+    beacon_ = beacon;
   }
-  void end_timer() {
-    MANET_ASSERT(timer_sends_ == 1,
+  void end_timer() const {
+    MANET_ASSERT(beacon_ == nullptr,
                  "maintenance timer must send exactly the beacon");
-  }
-  void begin_round(NodeId from, std::uint32_t local_round) {
-    timer_mode_ = false;
-    from_ = from;
-    target_ = &rr_.next_flight;
-    journal_round_ = sim_.round_ + local_round;
   }
 
   void send(MessageBody body) override {
@@ -448,40 +448,78 @@ class Simulator::ShardMailbox final : public Mailbox {
     m.from = from_;
     m.parent_id = cause.id;
     m.depth = cause.id != 0 ? cause.depth + 1 : 0;
-    if (timer_mode_) {
-      ++timer_sends_;
+    if (timer_) {
+      MANET_ASSERT(beacon_ != nullptr,
+                   "maintenance timer must send exactly the beacon");
       m.trace_id = sim_.sharded_base_ + from_ + 1;
-    } else {
-      m.trace_id = sim_.sharded_base_ + sim_.sharded_n_ +
-                   static_cast<std::uint64_t>(rr_.sends) * rr_.region_count +
-                   rr_.region + 1;
-      ++rr_.sends;
     }
-    rr_.counts.count(m.body);
+    out_.counts.count(m.body);
     if (observed_) {
       if (m.parent_id != 0) {
-        if (m.depth >= rr_.depth_counts.size())
-          rr_.depth_counts.resize(m.depth + 1, 0);
-        ++rr_.depth_counts[m.depth];
+        if (m.depth >= out_.depth_counts.size())
+          out_.depth_counts.resize(m.depth + 1, 0);
+        ++out_.depth_counts[m.depth];
       }
       const auto [a, b] = journal_summary(m.body);
-      rr_.journal.push_back({0, journal_round_, m.from,
-                             message_type_name(m.body), m.trace_id,
-                             m.parent_id, m.depth, a, b});
+      out_.journal.push_back({0, journal_round_, m.from,
+                              message_type_name(m.body), m.trace_id,
+                              m.parent_id, m.depth, a, b});
     }
-    target_->push_back(std::move(m));
+    if (timer_) {
+      *beacon_ = std::move(m);
+      beacon_ = nullptr;
+    } else {
+      out_.sends.push_back(std::move(m));
+    }
   }
 
  private:
   const Simulator& sim_;
-  RegionRun& rr_;
+  RegionChunk& out_;
   bool observed_;
-  bool timer_mode_ = false;
-  std::uint32_t timer_sends_ = 0;
+  bool timer_;
+  std::uint32_t journal_round_;
   NodeId from_ = 0;
-  std::vector<Message>* target_ = nullptr;
-  std::uint32_t journal_round_ = 0;
+  Message* beacon_ = nullptr;
 };
+
+template <typename Step>
+std::size_t Simulator::run_phase(RegionRun& rr, std::span<const NodeId> nodes,
+                                 const RegionHooks& hooks, Message* beacons,
+                                 std::uint32_t journal_round,
+                                 const Step& step) {
+  const std::size_t count =
+      (nodes.size() + kRegionChunkNodes - 1) / kRegionChunkNodes;
+  if (rr.chunks.size() < count) rr.chunks.resize(count);
+  const bool observed = obs_ != nullptr;
+  const ChunkJob job = [&](std::size_t c, std::size_t lane) {
+    RegionChunk& out = rr.chunks[c];
+    out.sends.clear();
+    out.counts = MessageCounts{};
+    out.depth_counts.clear();
+    out.awake.clear();
+    out.journal.clear();
+    const std::uint64_t t0 = now_ns();
+    ChunkMailbox mb(*this, out, observed, beacons != nullptr, journal_round);
+    const std::size_t lo = c * kRegionChunkNodes;
+    const std::size_t hi = std::min(lo + kRegionChunkNodes, nodes.size());
+    for (std::size_t i = lo; i < hi; ++i) {
+      const NodeId v = nodes[i];
+      if (hooks.bind) hooks.bind(v, c, lane);
+      mb.begin(v, beacons != nullptr ? beacons + i : nullptr);
+      step(v, mb);
+    }
+    for (std::size_t i = lo; i < hi; ++i)
+      if (nodes_[nodes[i]]->awake()) out.awake.push_back(nodes[i]);
+    out.step_ns = now_ns() - t0;
+  };
+  if (hooks.run_chunks) {
+    hooks.run_chunks(count, job);
+  } else {
+    for (std::size_t c = 0; c < count; ++c) job(c, 0);
+  }
+  return count;
+}
 
 std::uint64_t Simulator::begin_sharded_tick() {
   MANET_REQUIRE(dispatch_ == Dispatch::kEventDriven,
@@ -502,8 +540,7 @@ std::uint64_t Simulator::begin_sharded_tick() {
 }
 
 void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
-                           const std::function<void(NodeId)>& before_timer,
-                           const std::function<void(NodeId)>& after_timer,
+                           const RegionHooks& hooks,
                            std::uint32_t max_rounds) {
   rr.rounds = 0;
   rr.sends = 0;
@@ -511,6 +548,7 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
   rr.delivery = DeliveryStats{};
   rr.round1_deliveries = 0;
   rr.cross_scope_late = 0;
+  rr.chunked_phases = 0;
   rr.deliver_ns = 0;
   rr.step_ns = 0;
   rr.queued.clear();
@@ -525,23 +563,46 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
   rr.awake.clear();
 
   const bool observed = obs_ != nullptr;
-  ShardMailbox mb(*this, rr, observed);
   const std::uint32_t tag = rr.region + 1;
 
-  // Timer phase: every scope node beacons (trace id base+v+1, exactly
-  // the sequential assignment). The hooks let the engine bind per-lane
-  // scratch before and synthesize out-of-scope heard marks after.
-  const std::uint64_t timer_t0 = now_ns();
-  for (const NodeId v : rr.scope) {
-    if (before_timer) before_timer(v);
-    mb.begin_timer(v);
-    nodes_[v]->on_timer(round_, mb);
-    mb.end_timer();
-    if (after_timer) after_timer(v);
-  }
-  for (const NodeId v : rr.scope)
-    if (nodes_[v]->awake()) rr.awake.push_back(v);
-  rr.step_ns += now_ns() - timer_t0;
+  // Folds a finished phase's chunks into rr in chunk order. Round-phase
+  // sends get their trace ids here and queue for the next round.
+  const auto merge_phase = [&](std::size_t count) {
+    if (count > 1) ++rr.chunked_phases;
+    for (std::size_t c = 0; c < count; ++c) {
+      RegionChunk& ch = rr.chunks[c];
+      for (std::size_t i = 0; i < ch.sends.size(); ++i) {
+        Message& m = ch.sends[i];
+        m.trace_id = sharded_base_ + sharded_n_ +
+                     static_cast<std::uint64_t>(rr.sends) * rr.region_count +
+                     rr.region + 1;
+        ++rr.sends;
+        if (observed) ch.journal[i].trace_id = m.trace_id;
+        rr.next_flight.push_back(std::move(m));
+      }
+      rr.counts += ch.counts;
+      if (ch.depth_counts.size() > rr.depth_counts.size())
+        rr.depth_counts.resize(ch.depth_counts.size(), 0);
+      for (std::size_t d = 0; d < ch.depth_counts.size(); ++d)
+        rr.depth_counts[d] += ch.depth_counts[d];
+      rr.journal.insert(rr.journal.end(), ch.journal.begin(),
+                        ch.journal.end());
+      rr.awake.insert(rr.awake.end(), ch.awake.begin(), ch.awake.end());
+      rr.step_ns += ch.step_ns;
+    }
+    if (hooks.end_phase) hooks.end_phase(count);
+  };
+
+  // Timer phase: every scope node beacons into its own flight slot
+  // (trace id base+v+1, exactly the sequential assignment); after_timer
+  // synthesizes the heard marks of out-of-scope neighbors.
+  rr.flight.resize(rr.scope.size());
+  merge_phase(run_phase(rr, rr.scope, hooks, rr.flight.data(), round_,
+                        [&](NodeId v, ChunkMailbox& mb) {
+                          nodes_[v]->on_timer(round_, mb);
+                          mb.end_timer();
+                          if (hooks.after_timer) hooks.after_timer(v);
+                        }));
 
   while (true) {
     if (rr.flight.empty() && rr.awake.empty()) break;
@@ -604,16 +665,13 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
       if (inbox_count_[v] == 0) rr.dispatch.push_back(v);
     std::sort(rr.dispatch.begin(), rr.dispatch.end());
     ++rr.rounds;
-    const std::uint64_t step_t0 = now_ns();
-    for (const NodeId v : rr.dispatch) {
-      mb.begin_round(v, j);
-      nodes_[v]->on_round(round_ + j, inbox_of(v, rr.arena), mb);
-      ++rr.delivery.dispatches;
-    }
     rr.awake.clear();
-    for (const NodeId v : rr.dispatch)
-      if (nodes_[v]->awake()) rr.awake.push_back(v);
-    rr.step_ns += now_ns() - step_t0;
+    merge_phase(run_phase(rr, rr.dispatch, hooks, nullptr, round_ + j,
+                          [&](NodeId v, ChunkMailbox& mb) {
+                            nodes_[v]->on_round(round_ + j,
+                                                inbox_of(v, rr.arena), mb);
+                          }));
+    rr.delivery.dispatches += rr.dispatch.size();
 
     rr.flight.clear();
     std::swap(rr.flight, rr.next_flight);
@@ -642,6 +700,7 @@ std::uint32_t Simulator::finish_sharded_tick(std::span<RegionRun> regions,
     delivery_.dispatches += rr.delivery.dispatches;
     round1_in_scope += rr.round1_deliveries;
     cross_scope_late_ += rr.cross_scope_late;
+    chunked_phases_ += rr.chunked_phases;
     deliver_ns_ += rr.deliver_ns;
     step_ns_ += rr.step_ns;
     max_sends = std::max(max_sends, rr.sends);

@@ -116,6 +116,48 @@ struct DeliveryStats {
   std::size_t dispatches = 0;
 };
 
+/// Nodes per chunk of one region phase (the timer phase over the sorted
+/// scope, or one round's sorted dispatch list). Chunk boundaries depend
+/// only on the node list, never on the lane count, so the chunk-order
+/// merge reproduces the single-lane loop at every thread count.
+inline constexpr std::size_t kRegionChunkNodes = 128;
+
+/// The outputs one chunk of a region phase writes privately; the phase
+/// merges them into its RegionRun in chunk order. Cache-line aligned:
+/// neighboring chunks run on different lanes and write on every send.
+struct alignas(64) RegionChunk {
+  std::vector<Message> sends;  ///< round-phase sends, unstamped
+  MessageCounts counts;
+  std::vector<std::uint32_t> depth_counts;
+  std::vector<NodeId> awake;   ///< chunk nodes awake() after dispatch
+  std::vector<obs::JournalEvent> journal;  ///< parallel to `sends`
+  std::uint64_t step_ns = 0;   ///< wall time in this chunk's node code
+};
+
+/// Runs job(chunk, lane) for every chunk in [0, count) and returns once
+/// all have finished; `lane` names the executing lane for lane-indexed
+/// scratch. The maintenance engine passes its worker pool's run().
+using ChunkJob = std::function<void(std::size_t chunk, std::size_t lane)>;
+using ChunkRunner = std::function<void(std::size_t count, const ChunkJob&)>;
+
+/// The engine's side of Simulator::run_region.
+struct RegionHooks {
+  /// Before every on_timer / on_round of scope node `v`, on the
+  /// executing lane: binds the node's dispatch context (the engine binds
+  /// the chunk's change ledger and the lane's kernel scratch). `chunk`
+  /// indexes the chunk within the current phase.
+  std::function<void(NodeId v, std::size_t chunk, std::size_t lane)> bind;
+  /// After every scope node's on_timer (heard-mark synthesis for live
+  /// out-of-scope neighbors whose beacons the scope filter withholds).
+  std::function<void(NodeId v)> after_timer;
+  /// Serially after every phase, once all its chunks finished: fold the
+  /// first `chunks` chunk contexts into the region's state in chunk
+  /// order.
+  std::function<void(std::size_t chunks)> end_phase;
+  /// Executes a phase's chunks; empty = inline on lane 0.
+  ChunkRunner run_chunks;
+};
+
 /// Private execution context of one active repair region during a
 /// sharded maintenance tick (Simulator::run_region). The caller sets the
 /// inputs, run_region fills the outputs, finish_sharded_tick merges them
@@ -135,8 +177,10 @@ struct RegionRun {
   std::size_t round1_deliveries = 0;  ///< in-scope beacon deliveries
   std::size_t cross_scope_late = 0;   ///< scope-filtered sends, rounds>=2
                                       ///< (independence violations; 0)
+  std::uint32_t chunked_phases = 0;   ///< phases run as > 1 chunk
   std::uint64_t deliver_ns = 0;  ///< wall time in delivery passes
-  std::uint64_t step_ns = 0;     ///< wall time in on_timer/on_round
+  std::uint64_t step_ns = 0;     ///< on_timer/on_round time, summed
+                                 ///< over chunks (CPU time)
   /// queued[j-1] = messages queued for delivery after local round j.
   std::vector<std::size_t> queued;
   /// touched_by_round[j-1] = inboxes that received in local round j.
@@ -160,6 +204,8 @@ struct RegionRun {
   /// This region's delivery arena (the shared per-node offset arrays are
   /// written only at in-scope indices, so regions never contend).
   std::vector<const Message*> arena;
+  /// Chunk outputs of the current phase (kRegionChunkNodes nodes each).
+  std::vector<RegionChunk> chunks;
 };
 
 /// The whole-network quantities finish_sharded_tick needs to account for
@@ -246,15 +292,24 @@ class Simulator {
   std::uint64_t begin_sharded_tick();
 
   /// Runs one active region to quiescence. `scope_tag[v] == rr.region+1`
-  /// identifies rr's scope (any other value is foreign). `before_timer`
-  /// and `after_timer` bracket every scope node's on_timer — the engine
-  /// uses them to bind per-lane scratch and to synthesize heard marks
-  /// for live out-of-scope neighbors whose beacons the scope filter
-  /// withholds. Callable concurrently for distinct regions (disjoint
-  /// scopes touch disjoint node state and inboxes).
+  /// identifies rr's scope (any other value is foreign). Callable
+  /// concurrently for distinct regions (disjoint scopes touch disjoint
+  /// node state and inboxes).
+  ///
+  /// Node-parallel phases: within one round a node acts only on its own
+  /// inbox and state, so every phase (the timer phase over the scope,
+  /// then each round's dispatch list) is cut into kRegionChunkNodes-node
+  /// chunks that hooks.run_chunks may execute concurrently. Node code
+  /// may therefore touch only its own state, the state hooks.bind gives
+  /// it for this dispatch (its chunk's ledger, its lane's scratch) and
+  /// internally synchronized shared stores (the engine's RowStore). Each
+  /// chunk collects its sends, counts, journal and awake list privately;
+  /// the phase merges them in chunk order and stamps the round-phase
+  /// trace ids there (beacon ids stay base + v + 1), then calls
+  /// hooks.end_phase. The merged run is byte-for-byte the single-lane
+  /// loop's at every thread count.
   void run_region(RegionRun& rr, const std::uint32_t* scope_tag,
-                  const std::function<void(NodeId)>& before_timer,
-                  const std::function<void(NodeId)>& after_timer,
+                  const RegionHooks& hooks,
                   std::uint32_t max_rounds = 100000);
 
   /// Merges the region runs (region-ascending — deterministic) plus the
@@ -269,6 +324,10 @@ class Simulator {
   /// sharded ticks so far. Always 0 unless region independence is
   /// violated (the partition-separation property test's subject).
   std::size_t cross_scope_late() const { return cross_scope_late_; }
+
+  /// Region phases run as more than one chunk across all sharded ticks
+  /// so far. Deterministic: chunk boundaries depend only on node lists.
+  std::size_t chunked_phases() const { return chunked_phases_; }
 
   /// Observer invoked for every transmission (round, message) — used by
   /// the trace example and available for custom instrumentation.
@@ -313,7 +372,17 @@ class Simulator {
 
  private:
   class RoundMailbox;
-  class ShardMailbox;
+  class ChunkMailbox;
+
+  /// Runs one region phase over `nodes` in chunks (see run_region): each
+  /// chunk calls hooks.bind and `step(v, mailbox)` per node, then polls
+  /// the node's awake(). `beacons` (timer phase only, else nullptr) holds
+  /// one flight slot per node for its beacon. Returns the chunk count;
+  /// outputs sit in rr.chunks for the caller's merge.
+  template <typename Step>
+  std::size_t run_phase(RegionRun& rr, std::span<const NodeId> nodes,
+                        const RegionHooks& hooks, Message* beacons,
+                        std::uint32_t journal_round, const Step& step);
 
   /// The inbox span of `v` in `arena` (empty when nothing was placed —
   /// the begin/cursor entries are then stale and must not be read).
@@ -376,6 +445,7 @@ class Simulator {
   /// the previous tick's never-cleared final touched count (V_{T-1}).
   std::size_t pending_inbox_resets_ = 0;
   std::size_t cross_scope_late_ = 0;
+  std::size_t chunked_phases_ = 0;
   std::uint64_t deliver_ns_ = 0;  ///< cumulative delivery wall time
   std::uint64_t step_ns_ = 0;     ///< cumulative node-code wall time
   obs::Session* obs_ = nullptr;

@@ -44,6 +44,20 @@ constexpr std::size_t kShardGrowthMemberCells = 4;
 /// 1 keeps the mover's whole neighborhood in its scope.
 constexpr std::size_t kShardGrowthQuietCells = 1;
 
+/// Appends `from`'s notifications to `into` and leaves `from` empty.
+void drain_into(Ledger& into, Ledger& from) {
+  into.expired_links += from.expired_links;
+  from.expired_links = 0;
+  const auto take = [](auto& to, auto& src) {
+    to.insert(to.end(), src.begin(), src.end());
+    src.clear();
+  };
+  take(into.cluster_changed, from.cluster_changed);
+  take(into.rows_changed, from.rows_changed);
+  take(into.head_rows_changed, from.head_rows_changed);
+  take(into.stale_ages, from.stale_ages);
+}
+
 }  // namespace
 
 /// Simulator adapter over the DeltaTracker's maintained adjacency
@@ -371,23 +385,36 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
     }
   }
 
+  // Chunk ledgers are sized for the largest phase a region can run (its
+  // whole scope) before any region starts, so nothing reallocates while
+  // nodes hold pointers into them.
   if (region_runs_.size() < A) region_runs_.resize(A);
-  while (region_ledgers_.size() < A) region_ledgers_.emplace_back();
+  if (region_ledgers_.size() < A) region_ledgers_.resize(A);
+  if (chunk_ledgers_.size() < A) chunk_ledgers_.resize(A);
+  for (std::uint32_t a = 0; a < A; ++a) {
+    const std::size_t chunks =
+        (regions_.scopes[active_[a]].size() + net::kRegionChunkNodes - 1) /
+        net::kRegionChunkNodes;
+    if (chunk_ledgers_[a].size() < chunks) chunk_ledgers_[a].resize(chunks);
+  }
 
-  const auto run_one = [&](std::size_t a, std::size_t lane) {
+  const auto run_one = [&](std::size_t a, std::size_t /*lane*/) {
     net::RegionRun& rr = region_runs_[a];
     rr.scope = regions_.scopes[active_[a]];
     rr.region = static_cast<std::uint32_t>(a);
     rr.region_count = A;
-    Ledger* const ledger = &region_ledgers_[a];
-    KernelScratch* const scratch = &lane_scratch_[lane];
+    std::vector<ChunkLedger>& chunk_ledgers = chunk_ledgers_[a];
     const std::uint32_t tag = static_cast<std::uint32_t>(a) + 1;
-    const auto before = [this, ledger, scratch](NodeId v) {
+    net::RegionHooks hooks;
+    // Bound per dispatch: a node's rounds may run on other lanes and in
+    // other chunks than its timer did.
+    hooks.bind = [this, &chunk_ledgers](NodeId v, std::size_t chunk,
+                                        std::size_t lane) {
       MaintenanceNode& nd = node_mut(v);
-      nd.set_ledger(ledger);
-      nd.set_scratch(scratch);
+      nd.set_ledger(&chunk_ledgers[chunk].ledger);
+      nd.set_scratch(&lane_scratch_[lane]);
     };
-    const auto after = [this, tag, base](NodeId v) {
+    hooks.after_timer = [this, tag, base](NodeId v) {
       // The scope filter withholds the beacons of live neighbors
       // outside this region (unpainted, or across a region boundary).
       // Such links provably did not change and their senders' cluster
@@ -399,7 +426,16 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
         if (scope_tag_[w] != tag)
           nd.mark_neighbor_heard(w, net::Cause{base + w + 1, 0});
     };
-    sim_->run_region(rr, scope_tag_.data(), before, after);
+    hooks.end_phase = [&chunk_ledgers, into = &region_ledgers_[a]](
+                          std::size_t chunks) {
+      for (std::size_t c = 0; c < chunks; ++c)
+        drain_into(*into, chunk_ledgers[c].ledger);
+    };
+    if (pool_ != nullptr)
+      hooks.run_chunks = [this](std::size_t count, const net::ChunkJob& job) {
+        pool_->run(count, job);
+      };
+    sim_->run_region(rr, scope_tag_.data(), hooks);
   };
   if (pool_ != nullptr && A > 1) {
     pool_->run(A, run_one);
@@ -422,23 +458,10 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
 
   // Concatenate the region ledgers region-ascending into the engine
   // ledger. drain_ledger sorts and dedups the id lists anyway; the
-  // fixed order keeps stale-age sequences (and therefore every stat
-  // derived from them) independent of which lane ran which region.
-  for (std::uint32_t a = 0; a < A; ++a) {
-    Ledger& lr = region_ledgers_[a];
-    ledger_.expired_links += lr.expired_links;
-    lr.expired_links = 0;
-    const auto take = [](std::vector<NodeId>& into, std::vector<NodeId>& from) {
-      into.insert(into.end(), from.begin(), from.end());
-      from.clear();
-    };
-    take(ledger_.cluster_changed, lr.cluster_changed);
-    take(ledger_.rows_changed, lr.rows_changed);
-    take(ledger_.head_rows_changed, lr.head_rows_changed);
-    ledger_.stale_ages.insert(ledger_.stale_ages.end(),
-                              lr.stale_ages.begin(), lr.stale_ages.end());
-    lr.stale_ages.clear();
-  }
+  // fixed order (regions ascending, each in its single-lane dispatch
+  // order) keeps stale-age sequences — and every stat derived from
+  // them — independent of which lane ran which region or chunk.
+  for (std::uint32_t a = 0; a < A; ++a) drain_into(ledger_, region_ledgers_[a]);
   return rounds;
 }
 
@@ -477,6 +500,10 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   };
 
+  // Head and gateway flips are collected in id order and merged into the
+  // sorted sets in one pass each: per-flip insert_sorted / erase_sorted
+  // would cost O(|set|) apiece on million-entry vectors.
+  NodeSet resigned, declared;
   dedup(ledger_.cluster_changed);
   for (const NodeId v : ledger_.cluster_changed) {
     const MaintenanceNode& nd = node(v);
@@ -484,12 +511,7 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
       ++stats.head_changes;
       const bool was_head = clustering_.head_of[v] == v;
       const bool now_head = nd.is_head();
-      if (was_head != now_head) {
-        if (now_head)
-          insert_sorted(clustering_.heads, v);
-        else
-          erase_sorted(clustering_.heads, v);
-      }
+      if (was_head != now_head) (now_head ? declared : resigned).push_back(v);
       clustering_.head_of[v] = nd.head();
     }
     if (clustering_.roles[v] != nd.role()) {
@@ -498,6 +520,7 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
     }
   }
   ledger_.cluster_changed.clear();
+  apply_sorted_flips(clustering_.heads, resigned, declared);
 
   dedup(ledger_.rows_changed);
   for (const NodeId v : ledger_.rows_changed) {
@@ -521,6 +544,7 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
   }
   ledger_.rows_changed.clear();
 
+  NodeSet crossed;  // nodes whose selection refcount crossed zero
   dedup(ledger_.head_rows_changed);
   for (const NodeId v : ledger_.head_rows_changed) {
     const MaintenanceNode& nd = node(v);
@@ -531,10 +555,10 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
     if (fresh != stale) {
       for (const NodeId w : stale)
         if (!contains_sorted(fresh, w) && --selection_refs_[w] == 0)
-          erase_sorted(gateways_, w);
+          crossed.push_back(w);
       for (const NodeId w : fresh)
         if (!contains_sorted(stale, w) && selection_refs_[w]++ == 0)
-          insert_sorted(gateways_, w);
+          crossed.push_back(w);
     }
     // Retain the node's three head refs into the slot; allocate it on
     // first head refresh, recycle it when the node resigned (all rows
@@ -573,6 +597,17 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
     }
   }
   ledger_.head_rows_changed.clear();
+
+  // A node may cross zero several times in one drain; only its net
+  // membership change is a flip.
+  dedup(crossed);
+  NodeSet dropped, joined;
+  for (const NodeId w : crossed) {
+    const bool member = contains_sorted(gateways_, w);
+    if (member && selection_refs_[w] == 0) dropped.push_back(w);
+    if (!member && selection_refs_[w] > 0) joined.push_back(w);
+  }
+  apply_sorted_flips(gateways_, dropped, joined);
 }
 
 std::uint64_t MaintenanceEngine::state_hash() const {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,8 +58,9 @@ struct EngineOptions {
   obs::Session* obs = nullptr;
   /// Region-sharded tick execution. 0 = the classic sequential
   /// simulator loop over all n nodes. >= 1 runs each tick's active
-  /// repair regions as independent scoped simulations (1 = inline on
-  /// the caller; k >= 2 = an incr::WorkerPool with k lanes), with the
+  /// repair regions as independent scoped simulations, each phase of a
+  /// region split into node chunks (1 = inline on the caller; k >= 2 =
+  /// regions and chunks on an incr::WorkerPool with k lanes), with the
   /// quiescent remainder of the network accounted analytically — a
   /// tick costs O(active work), not O(n). The maintained state, its
   /// hash, and every deterministic metric are bitwise-identical across
@@ -147,6 +147,8 @@ class MaintenanceEngine {
   /// nonzero value is a repair wave escaping its painted region (the
   /// partition-separation property test asserts 0).
   std::size_t cross_scope_late() const { return sim_->cross_scope_late(); }
+  /// Active repair regions of the last tick (0 in sequential mode).
+  std::size_t active_regions() const { return active_.size(); }
   const MaintenanceNode& node(NodeId v) const;
   std::uint64_t ticks() const { return ticks_; }
 
@@ -231,10 +233,18 @@ class MaintenanceEngine {
   std::vector<std::uint32_t> scope_tag_;  ///< active region + 1, else 0
   std::vector<std::uint32_t> active_;     ///< active region indices
   std::vector<net::RegionRun> region_runs_;
-  /// Per-active-region change ledgers (deque: growth never moves the
-  /// entries nodes hold pointers to). Drained region-ascending into
-  /// ledger_ at merge, so the mirror refresh is order-deterministic.
-  std::deque<Ledger> region_ledgers_;
+  /// Per-active-region change ledgers, filled chunk-ascending after each
+  /// phase and drained region-ascending into ledger_ at merge, so the
+  /// mirror refresh is order-deterministic.
+  std::vector<Ledger> region_ledgers_;
+  /// One chunk's ledger, cache-line aligned: neighboring chunks run on
+  /// different lanes and write their ledgers on every dispatch.
+  struct alignas(64) ChunkLedger {
+    Ledger ledger;
+  };
+  /// chunk_ledgers_[a][c] = the ledger bound to chunk c's dispatches in
+  /// active region a during the current phase.
+  std::vector<std::vector<ChunkLedger>> chunk_ledgers_;
   std::vector<KernelScratch> lane_scratch_;  ///< one per lane
   std::unique_ptr<incr::WorkerPool> pool_;  ///< threads >= 2 only
 

@@ -292,8 +292,7 @@ void MaintenanceNode::ingest(const net::Message& m, net::Mailbox& out) {
     if (created || gw->seq > e->seq) {
       e->seq = gw->seq;
       e->selected = contains_sorted(gw->selected, id_);
-      store_->release_hop1(e->payload);
-      e->payload = store_->intern_hop1(gw->selected);
+      store_->reassign_hop1(e->payload, gw->selected);
     }
     if (gw->ttl > 1 && gw->seq > e->forwarded) {
       // Everyone forwards once per (origin, seq): second-hop members must
@@ -348,8 +347,7 @@ void MaintenanceNode::ingest(const net::Message& m, net::Mailbox& out) {
   }
 
   if (const auto* h1 = std::get_if<net::ChHop1Msg>(&m.body)) {
-    store_->release_hop1(nb->hop1);
-    nb->hop1 = store_->intern_hop1(h1->heads);
+    store_->reassign_hop1(nb->hop1, h1->heads);
     rows_dirty_ = true;       // my CH_HOP2 inputs (3-hop mode)
     head_inputs_dirty_ = true;  // my coverage inputs (if head)
     inputs_this_round_ = true;
@@ -357,8 +355,7 @@ void MaintenanceNode::ingest(const net::Message& m, net::Mailbox& out) {
   }
 
   if (const auto* h2 = std::get_if<net::ChHop2Msg>(&m.body)) {
-    store_->release_hop2(nb->hop2);
-    nb->hop2 = store_->intern_hop2(h2->entries);
+    store_->reassign_hop2(nb->hop2, h2->entries);
     head_inputs_dirty_ = true;
     inputs_this_round_ = true;
     return;
@@ -661,13 +658,10 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
     NodeSet h1 = core::hop1_row(adj, clust, id_);
     std::vector<core::Hop2Entry> h2 =
         core::hop2_row(adj, clust, mode_, Hop1Proxy{this}, id_);
-    // Intern-then-compare: ref equality is content equality, so an
-    // unchanged row re-finds its slot (+1/-1 on the same refcount) and
-    // the change test is two integer compares, not a row diff.
-    const RowRef r1 = store_->intern_hop1(h1);
-    const RowRef r2 = store_->intern_hop2(h2);
-    const bool h1_changed = r1 != my_hop1_;
-    const bool h2_changed = r2 != my_hop2_;
+    // Compare-then-intern: an unchanged row (the common case) is one
+    // lock-free content compare, no store call.
+    const bool h1_changed = store_->reassign_hop1(my_hop1_, h1);
+    const bool h2_changed = store_->reassign_hop2(my_hop2_, h2);
     if (h1_changed || h2_changed) ledger_->rows_changed.push_back(id_);
     // New links get a full row re-send once per tick; afterwards only
     // changed rows go out (re-broadcasting unchanged rows between two
@@ -678,10 +672,6 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
       out.send_caused(net::ChHop1Msg{std::move(h1)}, last_input_cause_);
     if (h2_changed || force)
       out.send_caused(net::ChHop2Msg{std::move(h2)}, last_input_cause_);
-    store_->release_hop1(my_hop1_);
-    store_->release_hop2(my_hop2_);
-    my_hop1_ = r1;
-    my_hop2_ = r2;
   }
 
   // Link-formation re-announcements, once per tick: a new neighbor (and
@@ -724,18 +714,10 @@ void MaintenanceNode::maybe_reselect(net::Mailbox& out) {
   const CacheSelectionView view(*this);
   core::GatewaySelection sel =
       core::select_gateways_local(view, cov, scratch_->sel);
-  const RowRef c2 = store_->intern_hop1(cov.two_hop);
-  const RowRef c3 = store_->intern_hop1(cov.three_hop);
-  const RowRef sl = store_->intern_hop1(sel.gateways);
-  if (c2 != head_rows_.cov2 || c3 != head_rows_.cov3 ||
-      sl != head_rows_.sel)
-    ledger_->head_rows_changed.push_back(id_);
-  store_->release_hop1(head_rows_.cov2);
-  store_->release_hop1(head_rows_.cov3);
-  store_->release_hop1(head_rows_.sel);
-  head_rows_.cov2 = c2;
-  head_rows_.cov3 = c3;
-  head_rows_.sel = sl;
+  bool changed = store_->reassign_hop1(head_rows_.cov2, cov.two_hop);
+  changed = store_->reassign_hop1(head_rows_.cov3, cov.three_hop) || changed;
+  changed = store_->reassign_hop1(head_rows_.sel, sel.gateways) || changed;
+  if (changed) ledger_->head_rows_changed.push_back(id_);
   if (head_rows_.sel != head_rows_.last_flooded || force_flood_)
     flood_selection(out);
   head_inputs_dirty_ = false;

@@ -11,12 +11,17 @@
 // cache drops a row. At n=100k this is the difference between ~4.2 KB
 // and ~1.5 KB of peak RSS per node.
 //
-// Concurrency contract (region-sharded delivery): intern/retain/release
-// serialize on one mutex; content reads (hop1()/hop2()) are lock-free.
-// A reader only ever dereferences refs it legitimately holds, which were
-// interned under the mutex and published to the reader through the
-// engine's region barriers (WorkerPool join), so reads race with nothing
-// — rows live in fixed-capacity chunk slabs whose slots never move.
+// Concurrency contract (region-sharded delivery, node-parallel chunks):
+// intern/retain/release may be called from every lane at once. Each kind
+// is striped into 16 tables by content hash, each with its own mutex, so
+// the tens of thousands of calls a large tick makes rarely meet on one
+// lock; content reads (hop1()/hop2()) are lock-free. A reader only ever
+// dereferences refs it legitimately holds, which were interned under a
+// stripe mutex and published to the reader through the engine's phase
+// barriers (WorkerPool join), so reads race with nothing — rows live in
+// fixed-capacity chunk slabs whose slots never move. Ref values depend
+// on interleaving (and so on the thread count); only content and
+// ref equality (= content equality among live rows) are observable.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +53,16 @@ class InternTable {
  public:
   InternTable() {
     table_.assign(64, 0);
-    // Slot 0 = the pinned empty row.
-    const auto [chunk, off] = locate(0);
-    ensure_chunk(chunk);
+    // Slot 0 is reserved (the empty row's ref; never dereferenced here,
+    // so its chunk is claimed only with the first real row).
     count_ = 1;
     refs_.push_back(1);  // pinned forever
     hash_of_.push_back(0);
   }
 
-  /// Interns `row` (copying on first sight) and takes one reference.
-  RowRef intern(const Row& row) {
-    if (row.empty()) return kEmptyRow;
-    const std::uint64_t h = hash(row);
+  /// Interns non-empty `row` of content hash `h` (copying on first
+  /// sight) and takes one reference.
+  RowRef intern(const Row& row, std::uint64_t h) {
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t mask = table_.size() - 1;
     for (std::size_t i = h & mask;; i = (i + 1) & mask) {
@@ -99,7 +102,6 @@ class InternTable {
 
   /// Takes one more reference on an already-held row.
   void retain(RowRef r) {
-    if (r == kEmptyRow) return;
     std::lock_guard<std::mutex> lock(mu_);
     MANET_ASSERT(refs_[r] > 0, "retain of a dead row");
     ++refs_[r];
@@ -107,7 +109,6 @@ class InternTable {
 
   /// Drops one reference; the slot recycles at zero.
   void release(RowRef r) {
-    if (r == kEmptyRow) return;
     std::lock_guard<std::mutex> lock(mu_);
     MANET_ASSERT(refs_[r] > 0, "release of a dead row");
     if (--refs_[r] > 0) return;
@@ -118,10 +119,7 @@ class InternTable {
   }
 
   /// The row behind `r`. Lock-free (see the concurrency contract).
-  const Row& get(RowRef r) const {
-    if (r == kEmptyRow) return empty_;
-    return *row_ptr(r);
-  }
+  const Row& get(RowRef r) const { return *row_ptr(r); }
 
   /// Rows currently alive (the dedup numerator; empty row excluded).
   std::size_t live() const { return live_; }
@@ -131,12 +129,14 @@ class InternTable {
   /// of kChunkSize rows. Chunks are claimed densely and never returned,
   /// so a flat chunk count under sustained churn is the free list doing
   /// its job: released slots are recycled before the slab grows.
-  std::size_t chunks() const { return (count_ + kChunkSize - 1) >> kChunkBits; }
+  std::size_t chunks() const {
+    return count_ == 1 ? 0 : (count_ + kChunkSize - 1) >> kChunkBits;
+  }
 
  private:
   static constexpr std::size_t kChunkBits = 10;  // 1024 rows per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
-  static constexpr std::size_t kMaxChunks = 1 << 14;  // 16M rows
+  static constexpr std::size_t kMaxChunks = 1 << 10;  // 1M rows
 
   static std::pair<std::size_t, std::size_t> locate(std::size_t r) {
     return {r >> kChunkBits, r & (kChunkSize - 1)};
@@ -151,18 +151,6 @@ class InternTable {
     MANET_REQUIRE(chunk < kMaxChunks, "row store slab exhausted");
     if (chunks_[chunk] == nullptr)
       chunks_[chunk] = std::make_unique<Row[]>(kChunkSize);
-  }
-
-  static std::uint64_t hash(const Row& row) {
-    // FNV-1a over the elements' bytes (rows are flat POD sequences).
-    std::uint64_t h = 1469598103934665603ull;
-    const auto* bytes = reinterpret_cast<const unsigned char*>(row.data());
-    const std::size_t len = row.size() * sizeof(row[0]);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-    return h;
   }
 
   void unlink(RowRef r) {
@@ -203,6 +191,69 @@ class InternTable {
   std::vector<std::uint64_t> hash_of_;
   std::vector<RowRef> free_;
   std::vector<std::uint32_t> table_;  ///< open addressing, slot+1, 0=empty
+};
+
+/// FNV-1a over a row's element bytes (rows are flat POD sequences).
+template <typename Row>
+std::uint64_t row_hash(const Row& row) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(row.data());
+  const std::size_t len = row.size() * sizeof(row[0]);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// kStripes InternTables striped by content hash, each behind its own
+/// mutex, so nodes interning concurrently rarely meet on one lock. A
+/// ref keeps its stripe in the low kStripeBits bits; every stripe
+/// reserves its slot 0, so ref 0 (stripe 0, slot 0) stays the empty row.
+template <typename Row>
+class StripedTable {
+ public:
+  RowRef intern(const Row& row) {
+    if (row.empty()) return kEmptyRow;
+    const std::uint64_t h = row_hash(row);
+    // High bits pick the stripe; the tables probe with the low bits.
+    const auto s = static_cast<RowRef>(h >> (64 - kStripeBits));
+    return (stripes_[s].intern(row, h) << kStripeBits) | s;
+  }
+  void retain(RowRef r) {
+    if (r != kEmptyRow) stripes_[r & kStripeMask].retain(r >> kStripeBits);
+  }
+  void release(RowRef r) {
+    if (r != kEmptyRow) stripes_[r & kStripeMask].release(r >> kStripeBits);
+  }
+  const Row& get(RowRef r) const {
+    if (r == kEmptyRow) return empty_;
+    return stripes_[r & kStripeMask].get(r >> kStripeBits);
+  }
+  bool reassign(RowRef& ref, const Row& row) {
+    if (get(ref) == row) return false;
+    const RowRef fresh = intern(row);
+    release(ref);
+    ref = fresh;
+    return true;
+  }
+
+  std::size_t live() const { return sum(&InternTable<Row>::live); }
+  std::size_t slots() const { return sum(&InternTable<Row>::slots); }
+  std::size_t chunks() const { return sum(&InternTable<Row>::chunks); }
+
+ private:
+  static constexpr unsigned kStripeBits = 4;
+  static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
+  static constexpr RowRef kStripeMask = kStripes - 1;
+
+  std::size_t sum(std::size_t (InternTable<Row>::*stat)() const) const {
+    std::size_t total = 0;
+    for (const auto& t : stripes_) total += (t.*stat)();
+    return total;
+  }
+
+  InternTable<Row> stripes_[kStripes];
   Row empty_;
 };
 
@@ -220,6 +271,15 @@ class RowStore {
   void retain_hop2(RowRef r) { hop2_.retain(r); }
   void release_hop1(RowRef r) { hop1_.release(r); }
   void release_hop2(RowRef r) { hop2_.release(r); }
+  /// Re-points the held `ref` at `row`'s content (intern the new row,
+  /// release the old) and returns true — or, when the content is
+  /// unchanged, returns false without touching a lock.
+  bool reassign_hop1(RowRef& ref, const NodeSet& row) {
+    return hop1_.reassign(ref, row);
+  }
+  bool reassign_hop2(RowRef& ref, const std::vector<core::Hop2Entry>& row) {
+    return hop2_.reassign(ref, row);
+  }
   const NodeSet& hop1(RowRef r) const { return hop1_.get(r); }
   const std::vector<core::Hop2Entry>& hop2(RowRef r) const {
     return hop2_.get(r);
@@ -233,8 +293,8 @@ class RowStore {
   std::size_t chunks_hop2() const { return hop2_.chunks(); }
 
  private:
-  detail::InternTable<NodeSet> hop1_;
-  detail::InternTable<std::vector<core::Hop2Entry>> hop2_;
+  detail::StripedTable<NodeSet> hop1_;
+  detail::StripedTable<std::vector<core::Hop2Entry>> hop2_;
 };
 
 }  // namespace manet::proto

@@ -29,6 +29,23 @@ TEST(IdsTest, EraseSorted) {
   EXPECT_EQ(s, (NodeSet{1, 3}));
 }
 
+TEST(IdsTest, ApplySortedFlipsMatchesPerElementEdits) {
+  NodeSet s{2, 4, 6, 8, 10};
+  apply_sorted_flips(s, {4, 10}, {1, 5, 11});
+  EXPECT_EQ(s, (NodeSet{1, 2, 5, 6, 8, 11}));
+  // An id removed and re-added in one batch stays; empty batches are
+  // no-ops; a removal of an absent id is ignored like erase_sorted's.
+  apply_sorted_flips(s, {3, 6}, {6});
+  EXPECT_EQ(s, (NodeSet{1, 2, 5, 6, 8, 11}));
+  apply_sorted_flips(s, {}, {});
+  EXPECT_EQ(s, (NodeSet{1, 2, 5, 6, 8, 11}));
+  NodeSet empty;
+  apply_sorted_flips(empty, {}, {7, 9});
+  EXPECT_EQ(empty, (NodeSet{7, 9}));
+  apply_sorted_flips(empty, {7, 9}, {});
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(IdsTest, NormalizeSortsAndDedupes) {
   NodeSet s{5, 1, 5, 3, 1};
   normalize(s);

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -387,8 +388,12 @@ void expect_same_tick_stats(const proto::MaintTickStats& want,
   EXPECT_EQ(got.rows_changed, want.rows_changed);
   EXPECT_EQ(got.heads_refreshed, want.heads_refreshed);
   EXPECT_EQ(got.expired_links, want.expired_links);
-  // Sharded runs list stale ages region-major, the sequential loop in
-  // round order: equal as multisets.
+  // Sharded runs list stale ages region-major (each region in its
+  // single-lane dispatch order, since chunk ledgers merge in chunk
+  // order), the sequential loop in global round order. The two orders
+  // differ on multi-region ticks, so against the sequential loop the
+  // comparison stays a multiset; across sharded thread counts the order
+  // itself is identical, which the lockstep test checks exactly.
   std::vector<std::uint32_t> got_ages = got.stale_ages;
   std::vector<std::uint32_t> want_ages = want.stale_ages;
   std::sort(got_ages.begin(), got_ages.end());
@@ -418,19 +423,27 @@ void expect_same_tick_stats(const proto::MaintTickStats& want,
 // this transitively pins the sharded state to the whole equivalence
 // tower.
 TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
-  // At n = 80 every tick's movers paint one region. The sparse n = 2000
-  // case (4 movers a tick) gives ticks with two to four active regions,
-  // so the merge's region-ascending accounting is exercised too.
-  for (const std::size_t nodes : {std::size_t{80}, std::size_t{2000}})
+  // At n = 80 every tick's movers paint one small region. The sparse
+  // n = 2000 case (4 movers a tick) gives ticks with two to four active
+  // regions, so the merge's region-ascending accounting is exercised
+  // too. The dense n = 2000 case (100 movers a tick) paints one region
+  // of most of the network, whose phases run as several node chunks.
+  struct Case {
+    std::size_t nodes;
+    double move_fraction;
+    std::size_t ticks;
+  };
+  for (const Case c : {Case{80, 0.04, 120}, Case{2000, 0.002, 120},
+                       Case{2000, 0.05, 40}})
   for (const auto model : {exp::ChurnConfig::Model::kWaypoint,
                            exp::ChurnConfig::Model::kRandomDirection}) {
     exp::ChurnConfig base = sharded_base(model, 41);
-    if (nodes != base.nodes) {
-      base.nodes = nodes;
-      base.move_fraction = 0.002;
-    }
+    base.nodes = c.nodes;
+    base.move_fraction = c.move_fraction;
+    base.ticks = c.ticks;
     SCOPED_TRACE(::testing::Message()
-                 << "n=" << nodes << ", model "
+                 << "n=" << c.nodes << ", move fraction " << c.move_fraction
+                 << ", model "
                  << (model == exp::ChurnConfig::Model::kWaypoint
                          ? "waypoint"
                          : "direction"));
@@ -460,18 +473,40 @@ TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
         sequential.stage_move(v, seq_mix.positions()[v]);
       const proto::MaintTickStats want = sequential.tick();
       const std::uint64_t expect = sequential.state_hash();
+      std::vector<std::uint32_t> first_ages;
+      std::size_t first_chunked = 0;
       for (std::size_t i = 0; i < engines.size(); ++i) {
         const std::span<const NodeId> m =
             mixes[i]->advance(mixes[i]->movers_per_tick());
         for (const NodeId v : m)
           engines[i]->stage_move(v, mixes[i]->positions()[v]);
+        const std::size_t chunked_before =
+            engines[i]->simulator().chunked_phases();
         const proto::MaintTickStats got = engines[i]->tick();
         ASSERT_EQ(engines[i]->state_hash(), expect)
             << "threads=" << thread_counts[i] << " diverged at tick "
             << tick + 1;
         ASSERT_EQ(engines[i]->cross_scope_late(), 0u);
         expect_same_tick_stats(want, got, thread_counts[i], tick + 1);
+        // Chunking is a function of the node lists alone: the same
+        // phases split the same way at every lane count, and the stale
+        // ages come out in the same order.
+        const std::size_t chunked =
+            engines[i]->simulator().chunked_phases() - chunked_before;
+        if (i == 0) {
+          first_ages = got.stale_ages;
+          first_chunked = chunked;
+        } else {
+          EXPECT_EQ(got.stale_ages, first_ages)
+              << "threads=" << thread_counts[i] << " at tick " << tick + 1;
+          EXPECT_EQ(chunked, first_chunked)
+              << "threads=" << thread_counts[i] << " at tick " << tick + 1;
+        }
       }
+    }
+    // The dense case splits more than one phase per tick on average.
+    if (c.move_fraction >= 0.05) {
+      EXPECT_GT(engines[0]->simulator().chunked_phases(), base.ticks);
     }
   }
 }
@@ -479,17 +514,22 @@ TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
 // The sharded engine under its own oracle: every tick's repaired state
 // field-by-field equal to the from-scratch rebuild, plus the lockstep
 // crosscheck against the incremental pipeline — run_msg_churn with
-// engine_threads set. Both coverage modes.
+// engine_threads set. Both coverage modes, on the sparse configuration
+// (n = 2000, 4 movers a tick), where ticks run several active regions
+// at once.
 TEST(ProtoSharded, OracleSoakBothModes) {
   for (const core::CoverageMode mode :
        {core::CoverageMode::kTwoPointFiveHop, core::CoverageMode::kThreeHop}) {
     exp::MsgChurnConfig config =
         make_soak(exp::ChurnConfig::Model::kWaypoint, mode, 11);
+    config.base.nodes = 2000;
+    config.base.move_fraction = 0.002;
     config.base.ticks = 100;
     config.engine_threads = 2;
     const exp::MsgChurnResult r = exp::run_msg_churn(config);
     EXPECT_EQ(r.ticks, 100u);
     EXPECT_DOUBLE_EQ(r.hello_rate, 1.0);
+    EXPECT_GT(r.multi_region_ticks, 0u);
   }
 }
 
@@ -498,16 +538,29 @@ TEST(ProtoSharded, OracleSoakBothModes) {
 // runs sequentially or sharded at any thread count, under both mobility
 // models. This is the strongest observable-equivalence claim: the bulk
 // accounting of everything the scopes skip has to be exact, not close.
+// The dense n = 2000 case runs one large region whose phases are split
+// into node chunks, so the chunk-order merge of trace ids, journal
+// entries and histogram counts is pinned too: the event journal of
+// every sharded run must match byte for byte (the sequential loop
+// journals the beacons of out-of-scope nodes as well, so it differs).
 TEST(ProtoSharded, MetricsBitwiseEqualAcrossThreads) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  for (const std::size_t nodes : {std::size_t{80}, std::size_t{2000}})
   for (const auto model : {exp::ChurnConfig::Model::kWaypoint,
                            exp::ChurnConfig::Model::kRandomDirection}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << nodes);
     std::string expected;
+    std::string expected_journal;
     for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
                                       std::size_t{2}, std::size_t{8}}) {
       exp::MsgChurnConfig config;
       config.base = sharded_base(model, 17);
       config.base.ticks = 80;
+      if (nodes != config.base.nodes) {
+        config.base.nodes = nodes;
+        config.base.move_fraction = 0.05;
+        config.base.ticks = 20;
+      }
       config.crosscheck = false;
       config.oracle_check = false;
       config.engine_threads = threads;
@@ -523,6 +576,14 @@ TEST(ProtoSharded, MetricsBitwiseEqualAcrossThreads) {
       else
         EXPECT_EQ(json, expected)
             << "deterministic snapshot diverged at engine_threads=" << threads;
+      if (threads == 0) continue;
+      std::ostringstream journal;
+      session.journal.write_jsonl(journal);
+      if (expected_journal.empty())
+        expected_journal = journal.str();
+      else
+        EXPECT_TRUE(journal.str() == expected_journal)
+            << "event journal diverged at engine_threads=" << threads;
     }
   }
 }
@@ -530,27 +591,32 @@ TEST(ProtoSharded, MetricsBitwiseEqualAcrossThreads) {
 // Partition separation, message level: within a tick, no message may
 // cross a repair-region boundary after round 1 (round-1 boundary beacons
 // are the expected, bulk-accounted exception). The engine counts every
-// scope-filtered late delivery; a soak with heavy churn must end at
-// exactly zero — the painted growth of 7 cells strictly contains the
-// deepest repair wave the protocol can launch.
+// scope-filtered late delivery; a soak must end at exactly zero — the
+// painted growth of 7 cells strictly contains the deepest repair wave
+// the protocol can launch. The sparse configuration (n = 2000, 4 movers
+// a tick) gives ticks with several active regions, i.e. real region
+// boundaries for a wave to escape across.
 TEST(ProtoSharded, NoCrossRegionMessageWithinTick) {
   exp::ChurnConfig base = sharded_base(exp::ChurnConfig::Model::kWaypoint, 23);
-  base.nodes = 150;
+  base.nodes = 2000;
   base.ticks = 150;
-  base.move_fraction = 0.08;  // many concurrent regions per tick
+  base.move_fraction = 0.002;
   exp::MobilityMix mix(base);
   proto::EngineOptions opts;
   opts.mode = core::CoverageMode::kTwoPointFiveHop;
   opts.threads = 2;
   proto::MaintenanceEngine engine(mix.positions(), mix.range(), base.width,
                                   base.height, opts);
+  std::size_t multi_region_ticks = 0;
   for (std::size_t tick = 0; tick < base.ticks; ++tick) {
     const std::span<const NodeId> moved = mix.advance(mix.movers_per_tick());
     for (const NodeId v : moved) engine.stage_move(v, mix.positions()[v]);
     engine.tick();
     ASSERT_EQ(engine.cross_scope_late(), 0u)
         << "a repair wave escaped its painted region at tick " << tick + 1;
+    if (engine.active_regions() > 1) ++multi_region_ticks;
   }
+  EXPECT_GT(multi_region_ticks, 0u);
 }
 
 // Divergence forensics end to end: re-introduce the historical

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -76,9 +77,19 @@ TEST(FlagsTest, PositionalArguments) {
 }
 
 TEST(FlagsTest, RejectsMalformedNumbers) {
-  const auto f = make_flags({"--nodes=abc", "--degree=1.2.3"});
+  const auto f = make_flags({"--nodes=abc", "--degree=1.2.3",
+                             "--ticks=99999999999999999999", "--frac=1e999"});
   EXPECT_THROW(f.get_int("nodes", 0), std::invalid_argument);
   EXPECT_THROW(f.get_double("degree", 0.0), std::invalid_argument);
+  // Out of range is malformed too, not a std::out_of_range.
+  EXPECT_THROW(f.get_int("ticks", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("frac", 0.0), std::invalid_argument);
+  try {
+    f.get_int("ticks", 0);
+    ADD_FAILURE() << "--ticks overflow was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--ticks"), std::string::npos);
+  }
 }
 
 }  // namespace

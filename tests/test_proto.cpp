@@ -30,6 +30,15 @@
 namespace manet {
 namespace {
 
+// The hot node's footprint: the engine holds n nodes and n * degree
+// neighbor caches, so every byte here is RSS per node (LP64 values).
+#if UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(proto::MaintenanceNode) == 192,
+              "MaintenanceNode footprint changed");
+static_assert(sizeof(proto::NeighborCache) == 40,
+              "NeighborCache footprint changed");
+#endif
+
 proto::EngineOptions oracle_options(core::CoverageMode mode) {
   proto::EngineOptions o;
   o.mode = mode;

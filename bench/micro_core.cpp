@@ -20,7 +20,7 @@
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
-#include "net/protocol.hpp"
+#include "proto/construction.hpp"
 
 namespace {
 
@@ -131,7 +131,7 @@ void BM_DistributedProtocol(benchmark::State& state) {
   const auto net = benchmark_network(
       static_cast<std::size_t>(state.range(0)), 12.0);
   for (auto _ : state)
-    benchmark::DoNotOptimize(net::run_distributed_backbone(
+    benchmark::DoNotOptimize(proto::run_distributed_backbone(
         net.graph, core::CoverageMode::kTwoPointFiveHop));
 }
 BENCHMARK(BM_DistributedProtocol)->Arg(64)->Arg(128)->Arg(256);

@@ -16,8 +16,8 @@
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "geom/unit_disk.hpp"
-#include "net/protocol.hpp"
 #include "obs/session.hpp"
+#include "proto/construction.hpp"
 
 using namespace manet;
 
@@ -91,9 +91,8 @@ int main(int argc, char** argv) {
     std::puts("paper Figure 3 network (0-indexed: our node k = paper k+1)\n");
   }
 
-  net::Simulator sim(g, [mode](NodeId v) {
-    return std::make_unique<net::BackboneNode>(v, mode);
-  });
+  proto::ConstructionNetwork network(g, mode);
+  net::Simulator& sim = network.simulator();
   sim.set_observer([](std::uint32_t round, const net::Message& m) {
     std::printf("  [round %2u] node %2u -> %s\n", round, m.from,
                 describe(m).c_str());
@@ -107,17 +106,17 @@ int main(int argc, char** argv) {
               sim.counts().total());
   NodeSet heads, backbone;
   for (NodeId v = 0; v < g.order(); ++v) {
-    const auto& node = dynamic_cast<const net::BackboneNode&>(sim.process(v));
+    const auto& node = network.node(v);
     if (node.is_head()) heads.push_back(v);
-    if (node.in_backbone()) backbone.push_back(v);
+    if (node.is_head() || node.gateway_flag()) backbone.push_back(v);
   }
   std::printf("clusterheads: %s\n", set_to_string(heads).c_str());
   for (NodeId h : heads) {
-    const auto& node = dynamic_cast<const net::BackboneNode&>(sim.process(h));
+    const auto& node = network.node(h);
     std::printf("  head %u: coverage C2=%s C3=%s, gateways %s\n", h,
-                set_to_string(node.coverage().two_hop).c_str(),
-                set_to_string(node.coverage().three_hop).c_str(),
-                set_to_string(node.selection().gateways).c_str());
+                set_to_string(node.coverage_two_hop()).c_str(),
+                set_to_string(node.coverage_three_hop()).c_str(),
+                set_to_string(node.selection_gateways()).c_str());
   }
   std::printf("backbone (SI-CDS): %s\n", set_to_string(backbone).c_str());
   if (!trace_path.empty()) {

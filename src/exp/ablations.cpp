@@ -3,7 +3,7 @@
 #include "cluster/lowest_id.hpp"
 #include "common/assert.hpp"
 #include "core/dynamic_broadcast.hpp"
-#include "net/protocol.hpp"
+#include "proto/construction.hpp"
 #include "stats/running.hpp"
 
 namespace manet::exp {
@@ -56,7 +56,7 @@ std::vector<MsgComplexityRow> run_msg_complexity(
           data, deliveries, resets;
       for (std::size_t rep = 0; rep < replications; ++rep) {
         const auto net = make_network(scenario, {n, d}, seed, rep);
-        const auto run = net::run_distributed_backbone(
+        const auto run = proto::run_distributed_backbone(
             net.graph, core::CoverageMode::kTwoPointFiveHop);
         hello.add(static_cast<double>(run.counts.hello));
         roles.add(static_cast<double>(run.counts.cluster_head +
@@ -68,7 +68,7 @@ std::vector<MsgComplexityRow> run_msg_complexity(
         rounds.add(static_cast<double>(run.rounds));
         deliveries.add(static_cast<double>(run.delivery.deliveries));
         resets.add(static_cast<double>(run.delivery.inbox_resets));
-        const auto bcast = net::run_distributed_broadcast(
+        const auto bcast = proto::run_distributed_broadcast(
             net.graph, core::CoverageMode::kTwoPointFiveHop, 0);
         data.add(static_cast<double>(bcast.data_messages));
       }

@@ -45,10 +45,10 @@
 #include "broadcast/stats.hpp"
 #include "broadcast/suppression.hpp"
 
-// Distributed protocol simulator.
+// Distributed protocol simulator and the §3 construction on it.
 #include "net/message.hpp"
-#include "net/protocol.hpp"
 #include "net/simulator.hpp"
+#include "proto/construction.hpp"
 
 // CDS references and optimal baselines.
 #include "mcds/bounds.hpp"

@@ -61,7 +61,7 @@ struct TablesView {
 };
 
 /// The gateway-selection greedy's view of the cached CH_HOP1/CH_HOP2
-/// payloads (same shape net::protocol uses for construction).
+/// payloads.
 class CacheSelectionView final : public core::LocalSelectionView {
  public:
   explicit CacheSelectionView(const MaintenanceNode& node) : node_(node) {}
@@ -139,18 +139,12 @@ void MaintenanceNode::seed_head_rows(RowRef cov2, RowRef cov3, RowRef sel) {
 
 void MaintenanceNode::seed_origin(NodeId origin, bool selected,
                                   RowRef payload) {
-  OriginCache e;
-  e.origin = origin;
+  bool created = false;
+  OriginCache& e = find_or_add_origin(origin, created);
+  MANET_REQUIRE(created, "duplicate seeded origin");
   e.selected = selected;
   store_->retain_hop1(payload);
   e.payload = payload;
-  auto& origins = origins_mut();
-  const auto it = std::lower_bound(
-      origins.begin(), origins.end(), origin,
-      [](const OriginCache& a, NodeId b) { return a.origin < b; });
-  MANET_REQUIRE(it == origins.end() || it->origin != origin,
-                "duplicate seeded origin");
-  origins.insert(it, std::move(e));
 }
 
 // ---- Accessors ----------------------------------------------------------
@@ -160,6 +154,19 @@ bool MaintenanceNode::gateway_flag() const {
   for (const auto& e : *origins_)
     if (e.selected) return true;
   return false;
+}
+
+OriginCache& MaintenanceNode::find_or_add_origin(NodeId origin,
+                                                 bool& created) {
+  auto& origins = origins_mut();
+  const auto it = std::lower_bound(
+      origins.begin(), origins.end(), origin,
+      [](const OriginCache& a, NodeId b) { return a.origin < b; });
+  created = it == origins.end() || it->origin != origin;
+  if (!created) return *it;
+  OriginCache fresh;
+  fresh.origin = origin;
+  return *origins.insert(it, fresh);
 }
 
 void MaintenanceNode::clear_origins() {
@@ -225,8 +232,10 @@ void MaintenanceNode::on_timer(std::uint32_t round, net::Mailbox& out) {
   force_flood_ = false;
   link_resends_done_ = false;
   rows_forced_ = false;
-  last_input_cause_ = net::Cause{};
-  my_r2_cause_ = net::Cause{};
+  last_input_cause_id_ = 0;
+  last_input_cause_depth_ = 0;
+  my_r2_cause_id_ = 0;
+  my_r2_cause_depth_ = 0;
   for (auto& nb : neighbors_) {
     nb.heard = false;
     nb.was_head = nb.is_head();
@@ -241,6 +250,10 @@ void MaintenanceNode::on_timer(std::uint32_t round, net::Mailbox& out) {
 
 void MaintenanceNode::on_round(std::uint32_t round, net::Inbox inbox,
                                net::Mailbox& out) {
+  if (cold_ != nullptr) [[unlikely]] {
+    cold_round(inbox, out);
+    return;
+  }
   const std::uint32_t tr = round - tick_base_;
   inputs_this_round_ = false;
   for (const net::Message* m : inbox) ingest(*m, out);
@@ -256,7 +269,8 @@ void MaintenanceNode::on_round(std::uint32_t round, net::Inbox inbox,
 
 void MaintenanceNode::ingest(const net::Message& m, net::Mailbox& out) {
   const net::Cause cause{m.trace_id, m.depth};
-  last_input_cause_ = cause;
+  last_input_cause_id_ = m.trace_id;
+  last_input_cause_depth_ = m.depth;
 
   if (const auto* hello = std::get_if<net::MaintHelloMsg>(&m.body)) {
     NeighborCache* nb = find_neighbor(m.from);
@@ -274,31 +288,17 @@ void MaintenanceNode::ingest(const net::Message& m, net::Mailbox& out) {
   if (const auto* gw = std::get_if<net::GatewayMsg>(&m.body)) {
     if (gw->origin == id_) return;  // own flood echoed back by a forwarder
     bool created = false;
-    OriginCache* e;
-    {
-      auto& origins = origins_mut();
-      const auto it = std::lower_bound(
-          origins.begin(), origins.end(), gw->origin,
-          [](const OriginCache& a, NodeId b) { return a.origin < b; });
-      if (it != origins.end() && it->origin == gw->origin) {
-        e = &*it;
-      } else {
-        created = true;
-        OriginCache fresh;
-        fresh.origin = gw->origin;
-        e = &*origins.insert(it, std::move(fresh));
-      }
+    OriginCache& e = find_or_add_origin(gw->origin, created);
+    if (created || gw->seq > e.seq) {
+      e.seq = gw->seq;
+      e.selected = contains_sorted(gw->selected, id_);
+      store_->reassign_hop1(e.payload, gw->selected);
     }
-    if (created || gw->seq > e->seq) {
-      e->seq = gw->seq;
-      e->selected = contains_sorted(gw->selected, id_);
-      store_->reassign_hop1(e->payload, gw->selected);
-    }
-    if (gw->ttl > 1 && gw->seq > e->forwarded) {
+    if (gw->ttl > 1 && gw->seq > e.forwarded) {
       // Everyone forwards once per (origin, seq): second-hop members must
       // hear selection updates (including the one clearing their flag)
       // even when no selected node sits between them and the origin.
-      e->forwarded = gw->seq;
+      e.forwarded = gw->seq;
       out.send_caused(net::GatewayMsg{gw->origin, gw->selected,
                                       static_cast<std::uint8_t>(gw->ttl - 1),
                                       gw->seq},
@@ -527,14 +527,15 @@ void MaintenanceNode::try_resolve_r1(std::uint32_t tr, net::Mailbox& out) {
   }
   if (all_final) {
     my_r1_ = kSurvived;
-    out.send_caused(net::R1StatusMsg{true, true}, last_input_cause_);
+    out.send_caused(net::R1StatusMsg{true, true}, last_input_cause());
   }
 }
 
 void MaintenanceNode::become_dirty(net::Mailbox& out, net::Cause cause) {
   if (my_r2_ != kNone) return;
   my_r2_ = kPending;
-  my_r2_cause_ = cause;
+  my_r2_cause_id_ = cause.id;
+  my_r2_cause_depth_ = cause.depth;
   out.send_caused(net::R2StatusMsg{false, kInvalidNode, false}, cause);
 }
 
@@ -558,7 +559,7 @@ void MaintenanceNode::try_decide_r2(std::uint32_t tr, net::Mailbox& out) {
   }
   if (old_ok) {
     my_r2_ = kFinal;
-    out.send_caused(net::R2StatusMsg{true, head_, false}, my_r2_cause_);
+    out.send_caused(net::R2StatusMsg{true, head_, false}, my_r2_cause());
     return;
   }
 
@@ -580,7 +581,7 @@ void MaintenanceNode::try_decide_r2(std::uint32_t tr, net::Mailbox& out) {
   }
   if (chosen != kInvalidNode) {
     head_ = chosen;
-    out.send_caused(net::R2StatusMsg{true, chosen, false}, my_r2_cause_);
+    out.send_caused(net::R2StatusMsg{true, chosen, false}, my_r2_cause());
   } else {
     MANET_ASSERT(my_r1_ != kResigned,
                  "a resigned head must find its blocker to join");
@@ -588,7 +589,7 @@ void MaintenanceNode::try_decide_r2(std::uint32_t tr, net::Mailbox& out) {
     force_flood_ = true;
     head_inputs_dirty_ = true;
     clear_origins();  // selections never contain heads
-    out.send_caused(net::R2StatusMsg{true, id_, true}, my_r2_cause_);
+    out.send_caused(net::R2StatusMsg{true, id_, true}, my_r2_cause());
   }
   my_r2_ = kFinal;
   ledger_->stale_ages.push_back(tr);
@@ -623,17 +624,15 @@ bool MaintenanceNode::repair_settled(std::uint32_t tr) const {
 
 // ---- Refresh ------------------------------------------------------------
 
+cluster::Role MaintenanceNode::classify_role() const {
+  if (is_head()) return cluster::Role::kClusterhead;
+  for (const auto& nb : neighbors_)
+    if (nb.head_of != head_) return cluster::Role::kGateway;
+  return cluster::Role::kOrdinary;
+}
+
 void MaintenanceNode::recompute_role() {
-  cluster::Role role = cluster::Role::kClusterhead;
-  if (!is_head()) {
-    role = cluster::Role::kOrdinary;
-    for (const auto& nb : neighbors_) {
-      if (nb.head_of != head_) {
-        role = cluster::Role::kGateway;
-        break;
-      }
-    }
-  }
+  const cluster::Role role = classify_role();
   if (role != role_ || head_changed_) ledger_->cluster_changed.push_back(id_);
   role_ = role;
 }
@@ -669,9 +668,9 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
     const bool force = links_formed_ && !rows_forced_;
     if (force) rows_forced_ = true;
     if (h1_changed || force)
-      out.send_caused(net::ChHop1Msg{std::move(h1)}, last_input_cause_);
+      out.send_caused(net::ChHop1Msg{std::move(h1)}, last_input_cause());
     if (h2_changed || force)
-      out.send_caused(net::ChHop2Msg{std::move(h2)}, last_input_cause_);
+      out.send_caused(net::ChHop2Msg{std::move(h2)}, last_input_cause());
   }
 
   // Link-formation re-announcements, once per tick: a new neighbor (and
@@ -691,7 +690,7 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
         if (contains_sorted(h1, e.origin))
           out.send_caused(
               net::GatewayMsg{e.origin, store_->hop1(e.payload), 1, e.seq},
-              last_input_cause_);
+              last_input_cause());
     }
   }
 
@@ -707,6 +706,14 @@ void MaintenanceNode::maybe_reselect(net::Mailbox& out) {
   // dispatched until then).
   if (inputs_this_round_) return;
 
+  if (select_head_rows()) ledger_->head_rows_changed.push_back(id_);
+  if (head_rows_.sel != head_rows_.last_flooded || force_flood_)
+    flood_selection(out);
+  head_inputs_dirty_ = false;
+  force_flood_ = false;
+}
+
+bool MaintenanceNode::select_head_rows() {
   const SelfAdj adj{*this, id_};
   const TablesView tables{Hop1Proxy{this}, Hop2Proxy{this}};
   core::Coverage cov =
@@ -717,21 +724,21 @@ void MaintenanceNode::maybe_reselect(net::Mailbox& out) {
   bool changed = store_->reassign_hop1(head_rows_.cov2, cov.two_hop);
   changed = store_->reassign_hop1(head_rows_.cov3, cov.three_hop) || changed;
   changed = store_->reassign_hop1(head_rows_.sel, sel.gateways) || changed;
-  if (changed) ledger_->head_rows_changed.push_back(id_);
-  if (head_rows_.sel != head_rows_.last_flooded || force_flood_)
-    flood_selection(out);
-  head_inputs_dirty_ = false;
-  force_flood_ = false;
+  return changed;
+}
+
+void MaintenanceNode::mark_flooded() {
+  store_->retain_hop1(head_rows_.sel);
+  store_->release_hop1(head_rows_.last_flooded);
+  head_rows_.last_flooded = head_rows_.sel;
 }
 
 void MaintenanceNode::flood_selection(net::Mailbox& out) {
   ++selection_seq_;
   out.send_caused(
       net::GatewayMsg{id_, store_->hop1(head_rows_.sel), 2, selection_seq_},
-      last_input_cause_);
-  store_->retain_hop1(head_rows_.sel);
-  store_->release_hop1(head_rows_.last_flooded);
-  head_rows_.last_flooded = head_rows_.sel;
+      last_input_cause());
+  mark_flooded();
 }
 
 void MaintenanceNode::gc_origins() {
@@ -756,6 +763,197 @@ void MaintenanceNode::gc_origins() {
     return true;
   });
   if (origins_->empty()) origins_.reset();
+}
+
+// ---- Cold start: the paper's §3 construction -----------------------------
+
+void MaintenanceNode::cold_start() {
+  MANET_REQUIRE(cold_ == nullptr && neighbor_ids_.empty(),
+                "cold start needs a fresh node");
+  cold_ = std::make_unique<ColdStart>();
+  head_ = kInvalidNode;
+}
+
+bool MaintenanceNode::done() const {
+  if (cold_ == nullptr) return !awake_;
+  if (!decided()) return false;
+  return is_head() ? cold_->selected : cold_->hop2_sent;
+}
+
+void MaintenanceNode::cold_round(net::Inbox inbox, net::Mailbox& out) {
+  for (const net::Message* m : inbox) cold_ingest(*m, out);
+  // The HELLOs start() queued all arrive in the first dispatch, so the
+  // neighbor set is final from then on (the unit-time synchronous model
+  // of the paper's complexity analysis).
+  if (!decided()) cold_decide_role(out);
+  cold_send_hop1(out);
+  cold_send_hop2(out);
+  cold_select(out);
+}
+
+void MaintenanceNode::cold_ingest(const net::Message& m, net::Mailbox& out) {
+  ColdStart& c = *cold_;
+  if (std::holds_alternative<net::HelloMsg>(m.body)) {
+    seed_neighbor(m.from, kInvalidNode, kEmptyRow, kEmptyRow);
+    return;
+  }
+  if (std::holds_alternative<net::DataMsg>(m.body)) {
+    on_data(m, out);
+    return;
+  }
+  if (const auto* gw = std::get_if<net::GatewayMsg>(&m.body)) {
+    // Only selected nodes cache a selection (the bootstrap's origin
+    // soft state) and forward it, once per origin: the TTL-2 copy comes
+    // straight from the origin a round before any forwarded copy.
+    if (!contains_sorted(gw->selected, id_)) return;
+    bool created = false;
+    OriginCache& e = find_or_add_origin(gw->origin, created);
+    if (!created) return;
+    e.selected = true;
+    store_->reassign_hop1(e.payload, gw->selected);
+    if (gw->ttl > 1)
+      out.send(net::GatewayMsg{gw->origin, gw->selected,
+                               static_cast<std::uint8_t>(gw->ttl - 1)});
+    return;
+  }
+  NeighborCache* nb = find_neighbor(m.from);
+  MANET_ASSERT(nb != nullptr, "construction message from a non-neighbor");
+  if (nb == nullptr) return;
+  if (std::holds_alternative<net::ClusterHeadMsg>(m.body)) {
+    nb->head_of = m.from;
+    ++c.announced;
+  } else if (const auto* nch = std::get_if<net::NonClusterHeadMsg>(&m.body)) {
+    nb->head_of = nch->head;
+    ++c.announced;
+  } else if (const auto* h1 = std::get_if<net::ChHop1Msg>(&m.body)) {
+    store_->reassign_hop1(nb->hop1, h1->heads);
+    ++c.hop1_heard;
+  } else if (const auto* h2 = std::get_if<net::ChHop2Msg>(&m.body)) {
+    store_->reassign_hop2(nb->hop2, h2->entries);
+    ++c.hop2_heard;
+  } else {
+    MANET_ASSERT(false, "maintenance message during construction");
+  }
+}
+
+void MaintenanceNode::cold_decide_role(net::Mailbox& out) {
+  for (const auto& nb : neighbors_) {  // ascending ids
+    if (nb.id >= id_) break;
+    if (nb.head_of == kInvalidNode) return;  // a smaller id is undecided
+  }
+  for (const auto& nb : neighbors_) {  // the smallest announced head wins
+    if (nb.is_head()) {
+      head_ = nb.id;
+      out.send(net::NonClusterHeadMsg{head_});
+      return;
+    }
+  }
+  head_ = id_;
+  role_ = cluster::Role::kClusterhead;
+  out.send(net::ClusterHeadMsg{});
+}
+
+void MaintenanceNode::cold_send_hop1(net::Mailbox& out) {
+  ColdStart& c = *cold_;
+  if (c.hop1_sent || !decided() || is_head()) return;
+  if (c.announced != neighbors_.size()) return;
+  role_ = classify_role();  // every neighbor's affiliation is known
+  NodeSet row =
+      core::hop1_row(SelfAdj{*this, id_}, ClustView{HeadOfProxy{this}}, id_);
+  store_->reassign_hop1(my_hop1_, row);
+  c.hop1_sent = true;
+  out.send(net::ChHop1Msg{std::move(row)});
+}
+
+void MaintenanceNode::cold_send_hop2(net::Mailbox& out) {
+  ColdStart& c = *cold_;
+  if (c.hop2_sent || !c.hop1_sent) return;
+  const auto non_heads = static_cast<std::size_t>(
+      std::count_if(neighbors_.begin(), neighbors_.end(),
+                    [](const NeighborCache& nb) { return !nb.is_head(); }));
+  if (c.hop1_heard != non_heads) return;
+  std::vector<core::Hop2Entry> row =
+      core::hop2_row(SelfAdj{*this, id_}, ClustView{HeadOfProxy{this}}, mode_,
+                     Hop1Proxy{this}, id_);
+  store_->reassign_hop2(my_hop2_, row);
+  c.hop2_sent = true;
+  out.send(net::ChHop2Msg{std::move(row)});
+}
+
+void MaintenanceNode::cold_select(net::Mailbox& out) {
+  ColdStart& c = *cold_;
+  // A head's neighbors are all non-heads; it needs both rows from each.
+  if (c.selected || !is_head()) return;
+  if (c.hop1_heard != neighbors_.size() || c.hop2_heard != neighbors_.size())
+    return;
+  select_head_rows();
+  mark_flooded();
+  c.selected = true;
+  const NodeSet& sel = selection_gateways();
+  if (!sel.empty()) out.send(net::GatewayMsg{id_, sel, 2});
+}
+
+// ---- SD-CDS data broadcast ----------------------------------------------
+
+net::DataMsg MaintenanceNode::head_packet(NodeId relay, NodeId upstream,
+                                          const NodeSet& upstream_cov) {
+  cold_->head_data_processed = true;
+  cold_->data_sent = true;
+  // Targets: my coverage minus what the upstream head covered (and the
+  // upstream head itself) and minus the heads adjacent to the relay,
+  // which heard its transmission (their CH_HOP1 report is cached).
+  const NodeSet& heard = cached_hop1(relay);
+  core::Coverage remaining{
+      set_difference(set_difference(coverage_two_hop(), upstream_cov), heard),
+      set_difference(set_difference(coverage_three_hop(), upstream_cov),
+                     heard)};
+  erase_sorted(remaining.two_hop, upstream);
+  erase_sorted(remaining.three_hop, upstream);
+  const auto sel = core::select_gateways_local(CacheSelectionView(*this),
+                                               remaining, scratch_->sel);
+  return net::DataMsg{
+      id_, set_union(coverage_two_hop(), coverage_three_hop()),
+      sel.gateways};
+}
+
+void MaintenanceNode::on_data(const net::Message& m, net::Mailbox& out) {
+  ColdStart& c = *cold_;
+  const auto& data = std::get<net::DataMsg>(m.body);
+  c.data_received = true;
+  if (is_head()) {
+    if (c.head_data_processed) return;
+    out.send(head_packet(m.from, data.origin_head, data.coverage));
+    return;
+  }
+  // A named forward node relays once per origin.
+  if (!contains_sorted(data.forward_set, id_)) return;
+  const NodeId origin =
+      data.origin_head == kInvalidNode ? m.from : data.origin_head;
+  if (insert_sorted(c.relayed_origins, origin)) {
+    c.data_sent = true;
+    out.send(data);
+  }
+}
+
+net::MessageBody MaintenanceNode::make_broadcast_packet() {
+  MANET_REQUIRE(cold_ != nullptr && decided(),
+                "construction must finish before broadcasting");
+  cold_->data_received = true;
+  if (is_head()) {
+    MANET_REQUIRE(cold_->selected, "head has not built its coverage yet");
+    return head_packet(kInvalidNode, kInvalidNode, {});
+  }
+  // Member handoff: physically a broadcast; the head picks it up.
+  cold_->data_sent = true;
+  return net::DataMsg{kInvalidNode, {}, {}};
+}
+
+void MaintenanceNode::reset_broadcast_state() {
+  MANET_REQUIRE(cold_ != nullptr, "not a cold-started node");
+  cold_->data_received = false;
+  cold_->data_sent = false;
+  cold_->head_data_processed = false;
+  cold_->relayed_origins.clear();
 }
 
 }  // namespace manet::proto

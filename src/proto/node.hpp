@@ -1,16 +1,24 @@
-// One node of the message-driven maintenance protocol (the paper's
-// maintenance phase, run as a persistent per-node state machine on the
-// round simulator).
+// One node of the distributed backbone protocol: the paper's §3
+// construction (cold start) and its maintenance phase, run as one
+// persistent per-node state machine on the round simulator.
 //
-// Each mobility tick the engine fires every node's on_timer: the node
-// broadcasts a MAINT_HELLO beacon carrying its cluster status and
-// neighbor list. From the beacons delivered one round later (tick round
-// tr1) a node learns its exact current neighborhood — a cached neighbor
-// whose beacon is missing has moved out of range (the medium is
-// lossless, so one missed HELLO is conclusive), and a beacon from an
-// unknown sender is a new link. Everything after that is the localized
-// LCC repair and the incremental table/selection refresh, driven purely
-// by received messages plus the round clock:
+// Cold start (cold_start(), asked for by a construction runner — never
+// by the engine's seeded bootstrap) sends the §3 sequence listed in
+// proto/construction.hpp: HELLO, CLUSTER_HEAD / NON_CLUSTER_HEAD,
+// CH_HOP1, CH_HOP2, GATEWAY. Rows, coverage and selection come from the
+// same kernels and caches the maintenance phase uses, so a cold-started
+// node ends in the state the bootstrap seeds. It then relays SD-CDS DATA
+// packets (paper §3, "Broadcasting in a Cluster-Based SD-CDS Backbone").
+//
+// Maintenance. Each mobility tick the engine fires every node's
+// on_timer: the node broadcasts a MAINT_HELLO beacon carrying its
+// cluster status and neighbor list. From the beacons delivered one
+// round later (tick round tr1) a node learns its exact current
+// neighborhood — a cached neighbor whose beacon is missing has moved out
+// of range (the medium is lossless, so one missed HELLO is conclusive),
+// and a beacon from an unknown sender is a new link. Everything after
+// that is the localized LCC repair and the incremental table/selection
+// refresh, driven purely by received messages plus the round clock:
 //
 //  * Rule 1 (adjacent heads). Previous heads were pairwise non-adjacent,
 //    so every head-head link visible at tr1 appeared this tick; its
@@ -166,7 +174,24 @@ struct KernelScratch {
   core::SelectionScratch sel;
 };
 
-/// The maintenance-phase state machine of one node.
+/// A cold-started node's §3 construction progress and SD-CDS DATA relay
+/// state. Only cold_start() allocates one; seeded engine nodes keep the
+/// pointer null, so the maintenance hot path pays one null test.
+struct ColdStart {
+  std::uint32_t announced = 0;   ///< neighbors whose role arrived
+  std::uint32_t hop1_heard = 0;  ///< CH_HOP1 rows received
+  std::uint32_t hop2_heard = 0;  ///< CH_HOP2 rows received
+  bool hop1_sent = false;
+  bool hop2_sent = false;
+  bool selected = false;         ///< head ran its selection
+  bool data_received = false;
+  bool data_sent = false;
+  bool head_data_processed = false;
+  NodeSet relayed_origins;       ///< DATA origins relayed (once each)
+};
+
+/// The state machine of one node: cold-start construction, DATA relays
+/// and maintenance.
 class MaintenanceNode final : public net::NodeProcess {
  public:
   /// `universe` sizes the coverage bitsets (total node count); `scratch`
@@ -191,6 +216,24 @@ class MaintenanceNode final : public net::NodeProcess {
   void seed_head_rows(RowRef cov2, RowRef cov3, RowRef sel);
   void seed_origin(NodeId origin, bool selected, RowRef payload);
 
+  // ---- Cold start (paper §3 construction over a fixed graph) ----
+  /// Puts a fresh node on the construction path (every-node dispatch):
+  /// start() sends HELLO and every send is an uncaused wave root.
+  void cold_start();
+  /// Construction: the node has announced its role.
+  bool decided() const { return head_ != kInvalidNode; }
+
+  // ---- SD-CDS data broadcast (cold-started nodes, after construction) ----
+  /// The packet a source transmits (inject it into the simulator): a
+  /// head runs its selection process first; a member sends a bare
+  /// handoff its head picks up.
+  net::MessageBody make_broadcast_packet();
+  bool data_received() const {
+    return cold_ != nullptr && cold_->data_received;
+  }
+  bool data_forwarded() const { return cold_ != nullptr && cold_->data_sent; }
+  void reset_broadcast_state();
+
   // ---- Region-sharded dispatch hooks (engine-managed) ----
   /// Redirect change notifications to a per-region ledger for the
   /// duration of one tick's region execution.
@@ -204,12 +247,14 @@ class MaintenanceNode final : public net::NodeProcess {
   void mark_neighbor_heard(NodeId w, net::Cause cause);
 
   // ---- NodeProcess interface ----
-  void start(net::Mailbox& /*out*/) override {}
+  void start(net::Mailbox& out) override {
+    if (cold_ != nullptr) out.send(net::HelloMsg{});
+  }
   void on_timer(std::uint32_t round, net::Mailbox& out) override;
   void on_round(std::uint32_t round, net::Inbox inbox,
                 net::Mailbox& out) override;
   bool awake() const override { return awake_; }
-  bool done() const override { return !awake_; }
+  bool done() const override;
 
   // ---- State accessors (engine mirror refresh + tests) ----
   NodeId head() const { return head_; }
@@ -275,6 +320,29 @@ class MaintenanceNode final : public net::NodeProcess {
   }
   /// Releases every cached origin payload and drops the vector.
   void clear_origins();
+  /// The cache entry of `origin`, inserted (unselected, empty payload)
+  /// when absent; `created` reports which.
+  OriginCache& find_or_add_origin(NodeId origin, bool& created);
+
+  net::Cause last_input_cause() const {
+    return net::Cause{last_input_cause_id_, last_input_cause_depth_};
+  }
+  net::Cause my_r2_cause() const {
+    return net::Cause{my_r2_cause_id_, my_r2_cause_depth_};
+  }
+
+  // Cold-start construction and DATA relays.
+  void cold_round(net::Inbox inbox, net::Mailbox& out);
+  void cold_ingest(const net::Message& m, net::Mailbox& out);
+  void cold_decide_role(net::Mailbox& out);
+  void cold_send_hop1(net::Mailbox& out);
+  void cold_send_hop2(net::Mailbox& out);
+  void cold_select(net::Mailbox& out);
+  void on_data(const net::Message& m, net::Mailbox& out);
+  /// A head's DATA packet: coverage plus the forward set selected for
+  /// what the relay and the upstream head have not covered.
+  net::DataMsg head_packet(NodeId relay, NodeId upstream,
+                           const NodeSet& upstream_cov);
 
   void ingest(const net::Message& m, net::Mailbox& out);
   void process_tick_start(net::Mailbox& out);
@@ -293,7 +361,13 @@ class MaintenanceNode final : public net::NodeProcess {
   /// decision made, and the dirty set complete (tr >= 3).
   bool repair_settled(std::uint32_t tr) const;
   void settle_rows(net::Mailbox& out);
+  cluster::Role classify_role() const;
   void recompute_role();
+  /// Coverage + gateway selection from the cached rows into head_rows_;
+  /// true when any of the three changed.
+  bool select_head_rows();
+  /// Records the current selection as the last flooded one.
+  void mark_flooded();
   void flood_selection(net::Mailbox& out);
   void maybe_reselect(net::Mailbox& out);
   void gc_origins();
@@ -320,20 +394,27 @@ class MaintenanceNode final : public net::NodeProcess {
   HeadRows head_rows_;          ///< head-only refs (see HeadRows)
   /// Gateway-origin soft state, sorted by origin id; nullptr when empty.
   std::unique_ptr<std::vector<OriginCache>> origins_;
+  /// Construction/DATA state; nullptr on every seeded engine node.
+  std::unique_ptr<ColdStart> cold_;
 
   // ---- Per-tick state ----
   std::uint32_t tick_base_ = 0;  ///< round of the tick's on_timer
   NodeId old_head_ = kInvalidNode;  ///< affiliation at tick start
 
   // ---- Causal attribution (observability) ----
+  // Two net::Cause values stored as flat id + depth fields (ids with the
+  // 8-aligned members, depths with the u32s), the way NeighborCache
+  // stores its causes: the structs would carry 8 bytes of padding.
   /// The message currently being ingested (or the last one this
   /// evaluate() pass): fallback parent for sends without a more precise
   /// trigger (row refreshes, selection floods). Reset by on_timer so
   /// beacons stay wave roots.
-  net::Cause last_input_cause_;
+  std::uint64_t last_input_cause_id_ = 0;
   /// Parent of this node's own R2 wave (the message that made it dirty);
   /// all R2_STATUS sends chain from it.
-  net::Cause my_r2_cause_;
+  std::uint64_t my_r2_cause_id_ = 0;
+  std::uint32_t last_input_cause_depth_ = 0;
+  std::uint32_t my_r2_cause_depth_ = 0;
 
   core::CoverageMode mode_;
   cluster::Role role_ = cluster::Role::kOrdinary;

@@ -12,16 +12,14 @@
 #include "core/state_hash.hpp"
 #include "exp/ablations.hpp"
 #include "geom/unit_disk.hpp"
-#include "net/protocol.hpp"
 #include "obs/session.hpp"
 #include "paper_fixtures.hpp"
+#include "proto/construction.hpp"
 
 namespace manet::proto {
 namespace {
 
 using core::CoverageMode;
-using net::BackboneNode;
-using net::run_distributed_broadcast;
 using net::Simulator;
 
 constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
@@ -88,11 +86,10 @@ std::uint64_t figure3_journal_digest(CoverageMode mode,
                                      std::size_t* events) {
   const auto g = testing::paper_figure3_network();
   obs::Session session;
-  Simulator sim(g, [mode](NodeId v) {
-    return std::make_unique<BackboneNode>(v, mode);
-  });
-  const auto node = [&sim](NodeId v) -> BackboneNode& {
-    return dynamic_cast<BackboneNode&>(sim.process(v));
+  ConstructionNetwork network(g, mode);
+  Simulator& sim = network.simulator();
+  const auto node = [&network](NodeId v) -> MaintenanceNode& {
+    return network.node(v);
   };
   sim.set_obs(&session);
   sim.run();

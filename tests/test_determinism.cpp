@@ -6,7 +6,7 @@
 #include "core/dynamic_broadcast.hpp"
 #include "core/static_backbone.hpp"
 #include "exp/figures.hpp"
-#include "net/protocol.hpp"
+#include "proto/construction.hpp"
 
 namespace manet::exp {
 namespace {
@@ -80,9 +80,9 @@ TEST(DeterminismTest, WholePipelineIsPure) {
   const auto r2 = core::dynamic_broadcast(net.graph, bb, 5);
   EXPECT_EQ(r1.forward_nodes, r2.forward_nodes);
 
-  const auto d1 = net::run_distributed_backbone(
+  const auto d1 = proto::run_distributed_backbone(
       net.graph, core::CoverageMode::kTwoPointFiveHop);
-  const auto d2 = net::run_distributed_backbone(
+  const auto d2 = proto::run_distributed_backbone(
       net.graph, core::CoverageMode::kTwoPointFiveHop);
   EXPECT_EQ(d1.backbone, d2.backbone);
   EXPECT_EQ(d1.counts.total(), d2.counts.total());

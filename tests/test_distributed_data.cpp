@@ -8,13 +8,16 @@
 #include "common/rng.hpp"
 #include "core/dynamic_broadcast.hpp"
 #include "geom/unit_disk.hpp"
-#include "net/protocol.hpp"
 #include "paper_fixtures.hpp"
+#include "proto/construction.hpp"
 
 namespace manet::net {
 namespace {
 
 using core::CoverageMode;
+using proto::ConstructionNetwork;
+using proto::MaintenanceNode;
+using proto::run_distributed_broadcast;
 
 TEST(DistributedDataTest, PaperIllustrationSevenForwardNodes) {
   // The §3 walk-through holds end-to-end through the message simulator:
@@ -109,46 +112,40 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SimulatorInjectTest, InjectBeforeRunRejectsBadSource) {
   const auto g = graph::make_path(3);
-  Simulator sim(g, [](NodeId v) {
-    return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
-  });
+  ConstructionNetwork net(g, CoverageMode::kTwoPointFiveHop);
+  Simulator& sim = net.simulator();
   EXPECT_THROW(sim.inject(5, HelloMsg{}), std::invalid_argument);
 }
 
 TEST(SimulatorInjectTest, ResumeAfterQuiescence) {
   const auto g = graph::make_path(5);
-  Simulator sim(g, [](NodeId v) {
-    return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
-  });
+  ConstructionNetwork net(g, CoverageMode::kTwoPointFiveHop);
+  Simulator& sim = net.simulator();
   const auto construction_rounds = sim.run();
   EXPECT_GT(construction_rounds, 0u);
   // Quiescent: another run does nothing.
   EXPECT_EQ(sim.run(), 1u);  // one empty round detects quiescence
-  auto& src = dynamic_cast<BackboneNode&>(sim.process(0));
+  auto& src = dynamic_cast<MaintenanceNode&>(sim.process(0));
   sim.inject(0, src.make_broadcast_packet());
   EXPECT_GT(sim.counts().data, 0u);
   sim.run();
   for (NodeId v = 0; v < 5; ++v)
-    EXPECT_TRUE(dynamic_cast<const BackboneNode&>(sim.process(v))
+    EXPECT_TRUE(dynamic_cast<const MaintenanceNode&>(sim.process(v))
                     .data_received())
         << "node " << v;
 }
 
 TEST(SimulatorInjectTest, ResetBroadcastStateAllowsReuse) {
   const auto g = testing::paper_figure3_network();
-  Simulator sim(g, [](NodeId v) {
-    return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
-  });
+  ConstructionNetwork net(g, CoverageMode::kTwoPointFiveHop);
+  Simulator& sim = net.simulator();
   sim.run();
   for (int round_trip = 0; round_trip < 3; ++round_trip) {
-    auto& src = dynamic_cast<BackboneNode&>(sim.process(0));
+    auto& src = dynamic_cast<MaintenanceNode&>(sim.process(0));
     sim.inject(0, src.make_broadcast_packet());
     sim.run();
     for (NodeId v = 0; v < g.order(); ++v) {
-      auto& node = dynamic_cast<BackboneNode&>(sim.process(v));
+      auto& node = dynamic_cast<MaintenanceNode&>(sim.process(v));
       EXPECT_TRUE(node.data_received());
       node.reset_broadcast_state();
       EXPECT_FALSE(node.data_received());
@@ -161,21 +158,19 @@ TEST(SimulatorInjectTest, ResetBroadcastStateAllowsReuse) {
 // per-broadcast state in between, and require full delivery each time.
 TEST(SimulatorInjectTest, SecondAndThirdSourcesDeliverAfterReset) {
   const auto g = testing::paper_figure3_network();
-  Simulator sim(g, [](NodeId v) {
-    return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
-  });
+  ConstructionNetwork net(g, CoverageMode::kTwoPointFiveHop);
+  Simulator& sim = net.simulator();
   sim.run();
 
   std::size_t data_so_far = 0;
   const auto broadcast_from = [&](NodeId source) {
-    auto& src = dynamic_cast<BackboneNode&>(sim.process(source));
+    auto& src = dynamic_cast<MaintenanceNode&>(sim.process(source));
     sim.inject(source, src.make_broadcast_packet());
     sim.run();
     const std::size_t sent = sim.counts().data - data_so_far;
     data_so_far = sim.counts().data;
     for (NodeId v = 0; v < g.order(); ++v) {
-      auto& node = dynamic_cast<BackboneNode&>(sim.process(v));
+      auto& node = dynamic_cast<MaintenanceNode&>(sim.process(v));
       EXPECT_TRUE(node.data_received())
           << "node " << v << ", source " << source;
       node.reset_broadcast_state();
@@ -197,15 +192,14 @@ TEST(SimulatorInjectTest, SecondAndThirdSourcesDeliverAfterReset) {
 // the head) must both reconverge to full delivery after resets.
 TEST(SimulatorInjectTest, MixedHeadAndMemberSourcesReuseBackbone) {
   const auto g = testing::paper_figure3_network();
-  Simulator sim(g, [](NodeId v) {
-    return std::make_unique<BackboneNode>(v, CoverageMode::kThreeHop);
-  });
+  ConstructionNetwork net(g, CoverageMode::kThreeHop);
+  Simulator& sim = net.simulator();
   sim.run();
 
   NodeId head_source = kInvalidNode;
   NodeId member_source = kInvalidNode;
   for (NodeId v = 0; v < g.order(); ++v) {
-    const auto& node = dynamic_cast<const BackboneNode&>(sim.process(v));
+    const auto& node = dynamic_cast<const MaintenanceNode&>(sim.process(v));
     if (node.is_head() && head_source == kInvalidNode) head_source = v;
     if (!node.is_head()) member_source = v;
   }
@@ -214,11 +208,11 @@ TEST(SimulatorInjectTest, MixedHeadAndMemberSourcesReuseBackbone) {
 
   for (const NodeId source :
        {member_source, head_source, member_source, head_source}) {
-    auto& src = dynamic_cast<BackboneNode&>(sim.process(source));
+    auto& src = dynamic_cast<MaintenanceNode&>(sim.process(source));
     sim.inject(source, src.make_broadcast_packet());
     sim.run();
     for (NodeId v = 0; v < g.order(); ++v) {
-      auto& node = dynamic_cast<BackboneNode&>(sim.process(v));
+      auto& node = dynamic_cast<MaintenanceNode&>(sim.process(v));
       EXPECT_TRUE(node.data_received())
           << "node " << v << ", source " << source;
       node.reset_broadcast_state();

@@ -1,7 +1,5 @@
 // Integration tests: the message-driven distributed protocol must produce
 // exactly the centralized pipeline's results, with O(n) messages.
-#include "net/protocol.hpp"
-
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -9,11 +7,13 @@
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
 #include "paper_fixtures.hpp"
+#include "proto/construction.hpp"
 
 namespace manet::net {
 namespace {
 
 using core::CoverageMode;
+using proto::run_distributed_backbone;
 
 TEST(NetProtocolTest, Figure3ClusteringEmerges) {
   const auto g = testing::paper_figure3_network();

@@ -14,10 +14,10 @@
 #include "geom/unit_disk.hpp"
 #include "graph/graph.hpp"
 #include "incr/pipeline.hpp"
-#include "net/protocol.hpp"
 #include "net/simulator.hpp"
 #include "obs/session.hpp"
 #include "paper_fixtures.hpp"
+#include "proto/construction.hpp"
 #include "stats/replicator.hpp"
 
 namespace manet {
@@ -406,10 +406,8 @@ TEST(ObsJournalTest, JsonlExportOneObjectPerLine) {
 TEST(ObsSimulatorTest, RegistryCountersMatchMessageCounts) {
   const auto g = testing::paper_figure3_network();
   obs::Session session;
-  net::Simulator sim(g, [](NodeId v) {
-    return std::make_unique<net::BackboneNode>(
-        v, core::CoverageMode::kTwoPointFiveHop);
-  });
+  proto::ConstructionNetwork network(g, core::CoverageMode::kTwoPointFiveHop);
+  net::Simulator& sim = network.simulator();
   sim.set_obs(&session);
   const std::uint32_t rounds = sim.run();
   const net::MessageCounts& counts = sim.counts();

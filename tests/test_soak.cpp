@@ -13,8 +13,8 @@
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
-#include "net/protocol.hpp"
 #include "paper_fixtures.hpp"
+#include "proto/construction.hpp"
 
 namespace manet {
 namespace {
@@ -110,7 +110,7 @@ TEST(SoakTest, DistributedProtocolOnDisconnectedGraph) {
   // structures must match the centralized pipeline on each.
   const auto g = graph::make_graph(
       8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}});
-  const auto run = net::run_distributed_backbone(
+  const auto run = proto::run_distributed_backbone(
       g, CoverageMode::kTwoPointFiveHop);
   const auto reference = cluster::lowest_id_clustering(g);
   EXPECT_EQ(run.clustering.heads, reference.heads);
@@ -119,10 +119,8 @@ TEST(SoakTest, DistributedProtocolOnDisconnectedGraph) {
 
 TEST(SoakTest, SimulatorObserverSeesEveryTransmission) {
   const auto g = testing::paper_figure3_network();
-  net::Simulator sim(g, [](NodeId v) {
-    return std::make_unique<net::BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
-  });
+  proto::ConstructionNetwork network(g, CoverageMode::kTwoPointFiveHop);
+  net::Simulator& sim = network.simulator();
   std::size_t observed = 0;
   sim.set_observer(
       [&observed](std::uint32_t, const net::Message&) { ++observed; });

@@ -57,12 +57,6 @@ class TablesView final : public LocalSelectionView {
 }  // namespace
 
 GatewaySelection select_gateways_local(const LocalSelectionView& view,
-                                       const Coverage& targets) {
-  SelectionScratch scratch;
-  return select_gateways_local(view, targets, scratch);
-}
-
-GatewaySelection select_gateways_local(const LocalSelectionView& view,
                                        const Coverage& targets,
                                        SelectionScratch& scratch) {
   GatewaySelection sel;

@@ -96,7 +96,7 @@ GatewaySelection select_gateways(const graph::Graph& g,
 
 /// Read-only view of the information a clusterhead actually possesses
 /// when it selects: its neighbor list and the CH_HOP1/CH_HOP2 messages
-/// those neighbors sent. The distributed protocol (net module) runs the
+/// those neighbors sent. The distributed protocol (src/proto) runs the
 /// greedy through this interface so the selection logic exists exactly
 /// once.
 class LocalSelectionView {
@@ -111,11 +111,8 @@ class LocalSelectionView {
 };
 
 /// The greedy selection on a local view (shared by centralized and
-/// distributed code paths).
-GatewaySelection select_gateways_local(const LocalSelectionView& view,
-                                       const Coverage& targets);
-
-/// Same, reusing the caller's scratch (must be clean; returned clean).
+/// distributed code paths), reusing the caller's scratch (must be clean;
+/// returned clean).
 GatewaySelection select_gateways_local(const LocalSelectionView& view,
                                        const Coverage& targets,
                                        SelectionScratch& scratch);

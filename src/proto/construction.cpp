@@ -1,6 +1,5 @@
 #include "proto/construction.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/assert.hpp"
@@ -24,27 +23,19 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
   run.counts = net.simulator().counts();
   run.delivery = net.simulator().delivery_stats();
 
-  const std::size_t n = g.order();
-  run.clustering.head_of.resize(n);
-  run.clustering.roles.resize(n);
   run.tables.mode = mode;
-  run.tables.ch_hop1.resize(n);
-  run.tables.ch_hop2.resize(n);
-  run.coverage.resize(n);
-  run.selection.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
+  // Heads hold no rows and members no coverage or selection, exactly as
+  // in the centralized structures.
+  for (NodeId v = 0; v < g.order(); ++v) {
     const MaintenanceNode& node = net.node(v);
     MANET_ASSERT(node.decided(), "protocol quiesced with undecided node");
-    run.clustering.head_of[v] = node.head();
-    run.clustering.roles[v] = node.role();
-    if (node.is_head()) {
-      run.clustering.heads.push_back(v);
-      run.coverage[v] = {node.coverage_two_hop(), node.coverage_three_hop()};
-      run.selection[v].gateways = node.selection_gateways();
-    } else {
-      run.tables.ch_hop1[v] = node.hop1_row();
-      run.tables.ch_hop2[v] = node.hop2_row();
-    }
+    run.clustering.head_of.push_back(node.head());
+    run.clustering.roles.push_back(node.role());
+    if (node.is_head()) run.clustering.heads.push_back(v);
+    run.tables.ch_hop1.push_back(node.hop1_row());
+    run.tables.ch_hop2.push_back(node.hop2_row());
+    run.coverage.push_back({node.coverage_two_hop(), node.coverage_three_hop()});
+    run.selection.emplace_back().gateways = node.selection_gateways();
     if (node.is_head() || node.gateway_flag()) run.backbone.push_back(v);
   }
   return run;
@@ -62,15 +53,12 @@ DistributedBroadcast run_distributed_broadcast(const graph::Graph& g,
   result.rounds = sim.run();  // broadcast phase
   result.data_messages = sim.counts().data;
 
-  result.received.assign(g.order(), 0);
+  result.delivered_all = true;
   for (NodeId v = 0; v < g.order(); ++v) {
     const MaintenanceNode& node = net.node(v);
-    result.received[v] = node.data_received() ? 1 : 0;
+    result.delivered_all = result.delivered_all && node.data_received();
     if (node.data_forwarded()) result.forward_nodes.push_back(v);
   }
-  result.delivered_all =
-      std::all_of(result.received.begin(), result.received.end(),
-                  [](char c) { return c != 0; });
   return result;
 }
 

@@ -69,8 +69,7 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
 
 /// Result of one message-level SD-CDS data broadcast.
 struct DistributedBroadcast {
-  NodeSet forward_nodes;       ///< nodes that transmitted the data packet
-  std::vector<char> received;  ///< per-node delivery
+  NodeSet forward_nodes;  ///< nodes that transmitted the data packet
   bool delivered_all = false;
   std::size_t data_messages = 0;
   std::uint32_t rounds = 0;  ///< rounds the broadcast phase took

@@ -10,71 +10,51 @@
 namespace manet::proto {
 namespace {
 
-// ---- View adapters: the shared core kernels over the message caches ----
+// ---- The local view: the shared core kernels over the message caches ----
 //
 // The kernels only ever query the owning node itself (its row, its
 // coverage) plus its cached neighbors, so a node's local knowledge is
-// exactly the adjacency/clustering slice they need.
+// exactly the adjacency/clustering slice they need. One view serves as
+// every kernel argument: the adjacency (neighbors(v), has_edge), the
+// clustering (is_head, head_of[]), the row tables (ch_hop1[], ch_hop2[])
+// and the selection greedy's LocalSelectionView.
 
-/// Adjacency restricted to the node's own neighborhood.
-struct SelfAdj {
-  const MaintenanceNode& node;
-  NodeId self;
+/// `node->*Lookup(x)` behind the operator[] the kernels index rows with.
+template <auto Lookup>
+struct CacheLookup {
+  const MaintenanceNode* node;
+  decltype(auto) operator[](NodeId x) const { return (node->*Lookup)(x); }
+};
+
+class LocalView final : public core::LocalSelectionView {
+ public:
+  LocalView(const MaintenanceNode& node, NodeId self)
+      : head_of{&node}, ch_hop1{&node}, ch_hop2{&node}, node_(node),
+        self_(self) {}
 
   std::span<const NodeId> neighbors(NodeId v) const {
-    MANET_ASSERT(v == self, "kernel asked for a non-local adjacency row");
-    return {node.neighbors().data(), node.neighbors().size()};
+    MANET_ASSERT(v == self_, "kernel asked for a non-local adjacency row");
+    return {node_.neighbors().data(), node_.neighbors().size()};
   }
   bool has_edge(NodeId u, NodeId w) const {
-    MANET_ASSERT(u == self, "kernel asked for a non-local edge");
-    return contains_sorted(node.neighbors(), w);
+    MANET_ASSERT(u == self_, "kernel asked for a non-local edge");
+    return contains_sorted(node_.neighbors(), w);
   }
-};
-
-/// head_of[] lookups out of the neighbor caches (plus the node itself).
-struct HeadOfProxy {
-  const MaintenanceNode* node;
-  NodeId operator[](NodeId x) const { return node->cached_head_of(x); }
-};
-
-struct ClustView {
-  HeadOfProxy head_of;
   bool is_head(NodeId v) const { return head_of[v] == v; }
-};
 
-/// hop1[x] / ch_hop1[x] lookups out of the neighbor caches.
-struct Hop1Proxy {
-  const MaintenanceNode* node;
-  const NodeSet& operator[](NodeId x) const { return node->cached_hop1(x); }
-};
-
-struct Hop2Proxy {
-  const MaintenanceNode* node;
-  const std::vector<core::Hop2Entry>& operator[](NodeId x) const {
-    return node->cached_hop2(x);
-  }
-};
-
-struct TablesView {
-  Hop1Proxy ch_hop1;
-  Hop2Proxy ch_hop2;
-};
-
-/// The gateway-selection greedy's view of the cached CH_HOP1/CH_HOP2
-/// payloads.
-class CacheSelectionView final : public core::LocalSelectionView {
- public:
-  explicit CacheSelectionView(const MaintenanceNode& node) : node_(node) {}
   const NodeSet& neighbors() const override { return node_.neighbors(); }
-  const NodeSet& hop1(NodeId v) const override {
-    return node_.cached_hop1(v);
-  }
+  const NodeSet& hop1(NodeId v) const override { return ch_hop1[v]; }
   const std::vector<core::Hop2Entry>& hop2(NodeId v) const override {
-    return node_.cached_hop2(v);
+    return ch_hop2[v];
   }
+
+  CacheLookup<&MaintenanceNode::cached_head_of> head_of;
+  CacheLookup<&MaintenanceNode::cached_hop1> ch_hop1;
+  CacheLookup<&MaintenanceNode::cached_hop2> ch_hop2;
 
  private:
   const MaintenanceNode& node_;
+  NodeId self_;
 };
 
 }  // namespace
@@ -232,10 +212,8 @@ void MaintenanceNode::on_timer(std::uint32_t round, net::Mailbox& out) {
   force_flood_ = false;
   link_resends_done_ = false;
   rows_forced_ = false;
-  last_input_cause_id_ = 0;
-  last_input_cause_depth_ = 0;
+  last_input_cause_id_ = 0;  // a zero id sends roots, whatever the depth
   my_r2_cause_id_ = 0;
-  my_r2_cause_depth_ = 0;
   for (auto& nb : neighbors_) {
     nb.heard = false;
     nb.was_head = nb.is_head();
@@ -652,11 +630,10 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
       ledger_->rows_changed.push_back(id_);
     }
   } else {
-    const SelfAdj adj{*this, id_};
-    const ClustView clust{HeadOfProxy{this}};
-    NodeSet h1 = core::hop1_row(adj, clust, id_);
+    const LocalView view(*this, id_);
+    NodeSet h1 = core::hop1_row(view, view, id_);
     std::vector<core::Hop2Entry> h2 =
-        core::hop2_row(adj, clust, mode_, Hop1Proxy{this}, id_);
+        core::hop2_row(view, view, mode_, view.ch_hop1, id_);
     // Compare-then-intern: an unchanged row (the common case) is one
     // lock-free content compare, no store call.
     const bool h1_changed = store_->reassign_hop1(my_hop1_, h1);
@@ -714,11 +691,9 @@ void MaintenanceNode::maybe_reselect(net::Mailbox& out) {
 }
 
 bool MaintenanceNode::select_head_rows() {
-  const SelfAdj adj{*this, id_};
-  const TablesView tables{Hop1Proxy{this}, Hop2Proxy{this}};
+  const LocalView view(*this, id_);
   core::Coverage cov =
-      core::coverage_row(adj, tables, id_, universe_, scratch_->cov);
-  const CacheSelectionView view(*this);
+      core::coverage_row(view, view, id_, universe_, scratch_->cov);
   core::GatewaySelection sel =
       core::select_gateways_local(view, cov, scratch_->sel);
   bool changed = store_->reassign_hop1(head_rows_.cov2, cov.two_hop);
@@ -727,18 +702,14 @@ bool MaintenanceNode::select_head_rows() {
   return changed;
 }
 
-void MaintenanceNode::mark_flooded() {
-  store_->retain_hop1(head_rows_.sel);
-  store_->release_hop1(head_rows_.last_flooded);
-  head_rows_.last_flooded = head_rows_.sel;
-}
-
 void MaintenanceNode::flood_selection(net::Mailbox& out) {
   ++selection_seq_;
   out.send_caused(
       net::GatewayMsg{id_, store_->hop1(head_rows_.sel), 2, selection_seq_},
       last_input_cause());
-  mark_flooded();
+  store_->retain_hop1(head_rows_.sel);
+  store_->release_hop1(head_rows_.last_flooded);
+  head_rows_.last_flooded = head_rows_.sel;
 }
 
 void MaintenanceNode::gc_origins() {
@@ -776,50 +747,66 @@ void MaintenanceNode::cold_start() {
 
 bool MaintenanceNode::done() const {
   if (cold_ == nullptr) return !awake_;
-  if (!decided()) return false;
-  return is_head() ? cold_->selected : cold_->hop2_sent;
+  return decided() && (is_head() ? cold_->selected : cold_->hop2_sent);
 }
 
 void MaintenanceNode::cold_round(net::Inbox inbox, net::Mailbox& out) {
+  ColdStart& c = *cold_;
   for (const net::Message* m : inbox) cold_ingest(*m, out);
   // The HELLOs start() queued all arrive in the first dispatch, so the
   // neighbor set is final from then on (the unit-time synchronous model
   // of the paper's complexity analysis).
-  if (!decided()) cold_decide_role(out);
-  cold_send_hop1(out);
-  cold_send_hop2(out);
-  cold_select(out);
+  const LocalView view(*this, id_);
+  if (!decided()) {
+    for (const auto& nb : neighbors_)  // wait for every smaller id
+      if (nb.id < id_ && nb.head_of == kInvalidNode) return;
+    // Join the smallest announced head, else declare.
+    const auto it = std::find_if(neighbors_.begin(), neighbors_.end(),
+                                 [](const auto& nb) { return nb.is_head(); });
+    head_ = it != neighbors_.end() ? it->id : id_;
+    if (is_head()) {
+      role_ = cluster::Role::kClusterhead;
+      out.send(net::ClusterHeadMsg{});
+    } else {
+      out.send(net::NonClusterHeadMsg{head_});
+    }
+  }
+  if (!is_head() && !c.hop1_sent && c.announced == neighbors_.size()) {
+    role_ = classify_role();  // every neighbor's affiliation is known
+    NodeSet row = core::hop1_row(view, view, id_);
+    store_->reassign_hop1(my_hop1_, row);
+    c.hop1_sent = true;
+    out.send(net::ChHop1Msg{std::move(row)});
+  }
+  // CH_HOP2 waits for the CH_HOP1 of every non-head neighbor.
+  if (c.hop1_sent && !c.hop2_sent &&
+      c.hop1_heard == static_cast<std::size_t>(std::count_if(
+                          neighbors_.begin(), neighbors_.end(),
+                          [](const auto& nb) { return !nb.is_head(); }))) {
+    std::vector<core::Hop2Entry> row =
+        core::hop2_row(view, view, mode_, view.ch_hop1, id_);
+    store_->reassign_hop2(my_hop2_, row);
+    c.hop2_sent = true;
+    out.send(net::ChHop2Msg{std::move(row)});
+  }
+  // A head's neighbors are all non-heads; it needs both rows from each.
+  if (is_head() && !c.selected && c.hop1_heard == neighbors_.size() &&
+      c.hop2_heard == neighbors_.size()) {
+    select_head_rows();
+    store_->retain_hop1(head_rows_.sel);  // last_flooded, as seeded
+    head_rows_.last_flooded = head_rows_.sel;
+    c.selected = true;
+    if (head_rows_.sel != kEmptyRow)
+      out.send(net::GatewayMsg{id_, selection_gateways(), 2});
+  }
 }
 
 void MaintenanceNode::cold_ingest(const net::Message& m, net::Mailbox& out) {
   ColdStart& c = *cold_;
+  NeighborCache* nb = find_neighbor(m.from);
   if (std::holds_alternative<net::HelloMsg>(m.body)) {
     seed_neighbor(m.from, kInvalidNode, kEmptyRow, kEmptyRow);
-    return;
-  }
-  if (std::holds_alternative<net::DataMsg>(m.body)) {
-    on_data(m, out);
-    return;
-  }
-  if (const auto* gw = std::get_if<net::GatewayMsg>(&m.body)) {
-    // Only selected nodes cache a selection (the bootstrap's origin
-    // soft state) and forward it, once per origin: the TTL-2 copy comes
-    // straight from the origin a round before any forwarded copy.
-    if (!contains_sorted(gw->selected, id_)) return;
-    bool created = false;
-    OriginCache& e = find_or_add_origin(gw->origin, created);
-    if (!created) return;
-    e.selected = true;
-    store_->reassign_hop1(e.payload, gw->selected);
-    if (gw->ttl > 1)
-      out.send(net::GatewayMsg{gw->origin, gw->selected,
-                               static_cast<std::uint8_t>(gw->ttl - 1)});
-    return;
-  }
-  NeighborCache* nb = find_neighbor(m.from);
-  MANET_ASSERT(nb != nullptr, "construction message from a non-neighbor");
-  if (nb == nullptr) return;
-  if (std::holds_alternative<net::ClusterHeadMsg>(m.body)) {
+  } else if (std::holds_alternative<net::ClusterHeadMsg>(m.body)) {
     nb->head_of = m.from;
     ++c.announced;
   } else if (const auto* nch = std::get_if<net::NonClusterHeadMsg>(&m.body)) {
@@ -831,74 +818,30 @@ void MaintenanceNode::cold_ingest(const net::Message& m, net::Mailbox& out) {
   } else if (const auto* h2 = std::get_if<net::ChHop2Msg>(&m.body)) {
     store_->reassign_hop2(nb->hop2, h2->entries);
     ++c.hop2_heard;
+  } else if (const auto* gw = std::get_if<net::GatewayMsg>(&m.body)) {
+    // Only selected nodes cache a selection (the bootstrap's origin soft
+    // state) and forward it, once per origin: the TTL-2 copy comes
+    // straight from the origin, a round before any forwarded copy.
+    if (!contains_sorted(gw->selected, id_)) return;
+    bool created = false;
+    OriginCache& e = find_or_add_origin(gw->origin, created);
+    if (!created) return;
+    e.selected = true;
+    store_->reassign_hop1(e.payload, gw->selected);
+    if (gw->ttl > 1)
+      out.send(net::GatewayMsg{gw->origin, gw->selected,
+                               static_cast<std::uint8_t>(gw->ttl - 1)});
   } else {
-    MANET_ASSERT(false, "maintenance message during construction");
+    on_data(m, out);
   }
-}
-
-void MaintenanceNode::cold_decide_role(net::Mailbox& out) {
-  for (const auto& nb : neighbors_) {  // ascending ids
-    if (nb.id >= id_) break;
-    if (nb.head_of == kInvalidNode) return;  // a smaller id is undecided
-  }
-  for (const auto& nb : neighbors_) {  // the smallest announced head wins
-    if (nb.is_head()) {
-      head_ = nb.id;
-      out.send(net::NonClusterHeadMsg{head_});
-      return;
-    }
-  }
-  head_ = id_;
-  role_ = cluster::Role::kClusterhead;
-  out.send(net::ClusterHeadMsg{});
-}
-
-void MaintenanceNode::cold_send_hop1(net::Mailbox& out) {
-  ColdStart& c = *cold_;
-  if (c.hop1_sent || !decided() || is_head()) return;
-  if (c.announced != neighbors_.size()) return;
-  role_ = classify_role();  // every neighbor's affiliation is known
-  NodeSet row =
-      core::hop1_row(SelfAdj{*this, id_}, ClustView{HeadOfProxy{this}}, id_);
-  store_->reassign_hop1(my_hop1_, row);
-  c.hop1_sent = true;
-  out.send(net::ChHop1Msg{std::move(row)});
-}
-
-void MaintenanceNode::cold_send_hop2(net::Mailbox& out) {
-  ColdStart& c = *cold_;
-  if (c.hop2_sent || !c.hop1_sent) return;
-  const auto non_heads = static_cast<std::size_t>(
-      std::count_if(neighbors_.begin(), neighbors_.end(),
-                    [](const NeighborCache& nb) { return !nb.is_head(); }));
-  if (c.hop1_heard != non_heads) return;
-  std::vector<core::Hop2Entry> row =
-      core::hop2_row(SelfAdj{*this, id_}, ClustView{HeadOfProxy{this}}, mode_,
-                     Hop1Proxy{this}, id_);
-  store_->reassign_hop2(my_hop2_, row);
-  c.hop2_sent = true;
-  out.send(net::ChHop2Msg{std::move(row)});
-}
-
-void MaintenanceNode::cold_select(net::Mailbox& out) {
-  ColdStart& c = *cold_;
-  // A head's neighbors are all non-heads; it needs both rows from each.
-  if (c.selected || !is_head()) return;
-  if (c.hop1_heard != neighbors_.size() || c.hop2_heard != neighbors_.size())
-    return;
-  select_head_rows();
-  mark_flooded();
-  c.selected = true;
-  const NodeSet& sel = selection_gateways();
-  if (!sel.empty()) out.send(net::GatewayMsg{id_, sel, 2});
 }
 
 // ---- SD-CDS data broadcast ----------------------------------------------
 
 net::DataMsg MaintenanceNode::head_packet(NodeId relay, NodeId upstream,
                                           const NodeSet& upstream_cov) {
-  cold_->head_data_processed = true;
-  cold_->data_sent = true;
+  cold_->data.head_processed = true;
+  cold_->data.sent = true;
   // Targets: my coverage minus what the upstream head covered (and the
   // upstream head itself) and minus the heads adjacent to the relay,
   // which heard its transmission (their CH_HOP1 report is cached).
@@ -909,7 +852,7 @@ net::DataMsg MaintenanceNode::head_packet(NodeId relay, NodeId upstream,
                      heard)};
   erase_sorted(remaining.two_hop, upstream);
   erase_sorted(remaining.three_hop, upstream);
-  const auto sel = core::select_gateways_local(CacheSelectionView(*this),
+  const auto sel = core::select_gateways_local(LocalView(*this, id_),
                                                remaining, scratch_->sel);
   return net::DataMsg{
       id_, set_union(coverage_two_hop(), coverage_three_hop()),
@@ -917,20 +860,20 @@ net::DataMsg MaintenanceNode::head_packet(NodeId relay, NodeId upstream,
 }
 
 void MaintenanceNode::on_data(const net::Message& m, net::Mailbox& out) {
-  ColdStart& c = *cold_;
+  DataState& d = cold_->data;
   const auto& data = std::get<net::DataMsg>(m.body);
-  c.data_received = true;
+  d.received = true;
   if (is_head()) {
-    if (c.head_data_processed) return;
-    out.send(head_packet(m.from, data.origin_head, data.coverage));
+    if (!d.head_processed)
+      out.send(head_packet(m.from, data.origin_head, data.coverage));
     return;
   }
   // A named forward node relays once per origin.
-  if (!contains_sorted(data.forward_set, id_)) return;
   const NodeId origin =
       data.origin_head == kInvalidNode ? m.from : data.origin_head;
-  if (insert_sorted(c.relayed_origins, origin)) {
-    c.data_sent = true;
+  if (contains_sorted(data.forward_set, id_) &&
+      insert_sorted(d.relayed_origins, origin)) {
+    d.sent = true;
     out.send(data);
   }
 }
@@ -938,22 +881,19 @@ void MaintenanceNode::on_data(const net::Message& m, net::Mailbox& out) {
 net::MessageBody MaintenanceNode::make_broadcast_packet() {
   MANET_REQUIRE(cold_ != nullptr && decided(),
                 "construction must finish before broadcasting");
-  cold_->data_received = true;
+  cold_->data.received = true;
   if (is_head()) {
     MANET_REQUIRE(cold_->selected, "head has not built its coverage yet");
     return head_packet(kInvalidNode, kInvalidNode, {});
   }
   // Member handoff: physically a broadcast; the head picks it up.
-  cold_->data_sent = true;
+  cold_->data.sent = true;
   return net::DataMsg{kInvalidNode, {}, {}};
 }
 
 void MaintenanceNode::reset_broadcast_state() {
   MANET_REQUIRE(cold_ != nullptr, "not a cold-started node");
-  cold_->data_received = false;
-  cold_->data_sent = false;
-  cold_->head_data_processed = false;
-  cold_->relayed_origins.clear();
+  cold_->data = DataState{};
 }
 
 }  // namespace manet::proto

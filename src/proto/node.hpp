@@ -177,6 +177,12 @@ struct KernelScratch {
 /// A cold-started node's §3 construction progress and SD-CDS DATA relay
 /// state. Only cold_start() allocates one; seeded engine nodes keep the
 /// pointer null, so the maintenance hot path pays one null test.
+struct DataState {
+  bool received = false;
+  bool sent = false;
+  bool head_processed = false;  ///< a head handles one packet per broadcast
+  NodeSet relayed_origins;      ///< origins relayed (once each)
+};
 struct ColdStart {
   std::uint32_t announced = 0;   ///< neighbors whose role arrived
   std::uint32_t hop1_heard = 0;  ///< CH_HOP1 rows received
@@ -184,10 +190,7 @@ struct ColdStart {
   bool hop1_sent = false;
   bool hop2_sent = false;
   bool selected = false;         ///< head ran its selection
-  bool data_received = false;
-  bool data_sent = false;
-  bool head_data_processed = false;
-  NodeSet relayed_origins;       ///< DATA origins relayed (once each)
+  DataState data;                ///< reset per broadcast
 };
 
 /// The state machine of one node: cold-start construction, DATA relays
@@ -229,9 +232,9 @@ class MaintenanceNode final : public net::NodeProcess {
   /// handoff its head picks up.
   net::MessageBody make_broadcast_packet();
   bool data_received() const {
-    return cold_ != nullptr && cold_->data_received;
+    return cold_ != nullptr && cold_->data.received;
   }
-  bool data_forwarded() const { return cold_ != nullptr && cold_->data_sent; }
+  bool data_forwarded() const { return cold_ != nullptr && cold_->data.sent; }
   void reset_broadcast_state();
 
   // ---- Region-sharded dispatch hooks (engine-managed) ----
@@ -334,10 +337,6 @@ class MaintenanceNode final : public net::NodeProcess {
   // Cold-start construction and DATA relays.
   void cold_round(net::Inbox inbox, net::Mailbox& out);
   void cold_ingest(const net::Message& m, net::Mailbox& out);
-  void cold_decide_role(net::Mailbox& out);
-  void cold_send_hop1(net::Mailbox& out);
-  void cold_send_hop2(net::Mailbox& out);
-  void cold_select(net::Mailbox& out);
   void on_data(const net::Message& m, net::Mailbox& out);
   /// A head's DATA packet: coverage plus the forward set selected for
   /// what the relay and the upstream head have not covered.
@@ -366,8 +365,6 @@ class MaintenanceNode final : public net::NodeProcess {
   /// Coverage + gateway selection from the cached rows into head_rows_;
   /// true when any of the three changed.
   bool select_head_rows();
-  /// Records the current selection as the last flooded one.
-  void mark_flooded();
   void flood_selection(net::Mailbox& out);
   void maybe_reselect(net::Mailbox& out);
   void gc_origins();

@@ -1,8 +1,11 @@
-// Golden pins of the §3 construction protocol and its message-level
-// SD-CDS broadcast. The shape checks elsewhere (O(n) totals per node,
-// a forward-set tolerance against the centralized engine) cannot see a
+// The §3 construction as the cold-start path of proto::MaintenanceNode.
+//
+// Golden pins of the construction and its message-level SD-CDS
+// broadcast: the shape checks elsewhere (O(n) totals per node, a
+// forward-set tolerance against the centralized engine) cannot see a
 // per-type message count move; these pin every count, the causal
-// journal and the forward sets exactly.
+// journal and the forward sets exactly. Then the cross-check that a
+// cold start lands on the engine's seeded bootstrap.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +18,7 @@
 #include "obs/session.hpp"
 #include "paper_fixtures.hpp"
 #include "proto/construction.hpp"
+#include "proto/engine.hpp"
 
 namespace manet::proto {
 namespace {
@@ -189,6 +193,55 @@ TEST(ConstructionGolden, DistributedDataSweepBroadcasts) {
       EXPECT_EQ(r.data_messages, pin.data_messages) << "source " << s;
       EXPECT_EQ(r.rounds, pin.rounds) << "source " << s;
     }
+  }
+}
+
+// ---- The two entry paths of the one node state machine agree -----------
+
+// A cold start over the engine's initial topology must leave every node
+// in the state the engine's seeded bootstrap gives it: affiliation, role,
+// both table rows, both coverage halves, the selected gateways and the
+// backbone-membership flag.
+TEST(ConstructionColdStart, LandsOnTheEngineBootstrap) {
+  for (const CoverageMode mode :
+       {CoverageMode::kTwoPointFiveHop, CoverageMode::kThreeHop}) {
+    SCOPED_TRACE(core::to_string(mode));
+    Rng rng(2026);
+    geom::UnitDiskConfig cfg;
+    cfg.nodes = 500;
+    cfg.range = geom::range_for_average_degree(6.0, cfg.nodes, cfg.width,
+                                               cfg.height);
+    const auto net = geom::generate_unit_disk(cfg, rng);
+    EngineOptions options;
+    options.mode = mode;
+    const MaintenanceEngine engine(net.positions, cfg.range, cfg.width,
+                                   cfg.height, options);
+    const graph::Graph g = engine.tracker().adjacency().freeze();
+    ConstructionNetwork cold(g, mode);
+    cold.simulator().run();
+
+    std::size_t heads = 0, gateways = 0;
+    for (NodeId v = 0; v < g.order(); ++v) {
+      const MaintenanceNode& got = cold.node(v);
+      const MaintenanceNode& want = engine.node(v);
+      ASSERT_TRUE(got.decided()) << "node " << v;
+      EXPECT_EQ(got.head(), want.head()) << "node " << v;
+      EXPECT_EQ(got.role(), want.role()) << "node " << v;
+      EXPECT_EQ(got.hop1_row(), want.hop1_row()) << "node " << v;
+      EXPECT_TRUE(got.hop2_row() == want.hop2_row()) << "node " << v;
+      EXPECT_EQ(got.coverage_two_hop(), want.coverage_two_hop())
+          << "node " << v;
+      EXPECT_EQ(got.coverage_three_hop(), want.coverage_three_hop())
+          << "node " << v;
+      EXPECT_EQ(got.selection_gateways(), want.selection_gateways())
+          << "node " << v;
+      EXPECT_EQ(got.gateway_flag(), want.gateway_flag()) << "node " << v;
+      if (got.is_head()) ++heads;
+      if (got.gateway_flag()) ++gateways;
+    }
+    // Non-trivial structure: many clusters, selected gateways present.
+    EXPECT_GT(heads, 50u);
+    EXPECT_GT(gateways, 50u);
   }
 }
 

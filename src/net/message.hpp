@@ -1,9 +1,10 @@
-// Wire messages of the distributed backbone protocols: the construction
-// phase (paper §3: HELLO, CLUSTER_HEAD, NON_CLUSTER_HEAD, CH_HOP1,
-// CH_HOP2, GATEWAY, DATA) and the maintenance phase (src/proto:
-// MAINT_HELLO beacons plus the LCC rule-1/rule-2 repair announcements;
-// CH_HOP1/CH_HOP2/GATEWAY are reused as the incremental row and
-// selection updates).
+// Wire messages of the distributed backbone protocol, all sent by one
+// node state machine (proto::MaintenanceNode): its cold-start
+// construction (paper §3: HELLO, CLUSTER_HEAD, NON_CLUSTER_HEAD,
+// CH_HOP1, CH_HOP2, GATEWAY), the SD-CDS DATA relays, and the
+// maintenance phase (MAINT_HELLO beacons plus the LCC rule-1/rule-2
+// repair announcements; CH_HOP1/CH_HOP2/GATEWAY are reused as the
+// incremental row and selection updates).
 #pragma once
 
 #include <cstdint>

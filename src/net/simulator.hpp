@@ -9,10 +9,10 @@
 // simulation runs until no messages are in flight and no node wants to
 // transmit.
 //
-// Two topology sources: a fixed graph::Graph snapshot (construction
-// protocols) or any Topology implementation whose adjacency may change
-// between run() calls (the maintenance protocol reads the mobile
-// unit-disk overlay through it). Delivery is by reference: each receiver
+// Two topology sources: a fixed graph::Graph snapshot (the §3
+// construction, proto/construction.hpp) or any Topology implementation
+// whose adjacency may change between run() calls (the maintenance
+// protocol reads the mobile unit-disk overlay through it). Delivery is by reference: each receiver
 // gets pointers into the shared in-flight storage, never a copy of the
 // message bodies (which carry whole NodeSets), so one round's delivery
 // work is O(messages x degree) pointer pushes regardless of payload.
@@ -228,8 +228,8 @@ class Simulator {
 
   /// How nodes are dispatched each round.
   enum class Dispatch {
-    /// Every node, every round (the construction protocols' round
-    /// clock doubles as their phase driver). Quiescence = a full round
+    /// Every node, every round (the construction's round clock
+    /// doubles as its phase driver). Quiescence = a full round
     /// with no traffic in or out.
     kEveryNode,
     /// Only nodes with a non-empty inbox or awake() == true — O(work),
